@@ -1,16 +1,16 @@
 """Command-line front end: strict JSON configs, canonical deterministic reports.
 
-Reports are byte-identical across reruns and thread counts: all floats are
-rendered at 12 significant digits, keys are sorted, and the timing section
-records deterministic work counters (wall-clock goes to stderr).  Large
-payloads (cell sets, witness chains) go to sidecar CSV files referenced from
-the report by basename.
+Reports are byte-identical across reruns: all floats are rendered at 12
+significant digits, keys are sorted, and the timing section records
+deterministic work counters (wall-clock goes to stderr).  Large payloads
+(cell sets, witness chains) go to sidecar CSV files referenced from the
+report by basename.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 from pathlib import Path
@@ -29,6 +29,7 @@ from .minimal import dichotomy_report, minimal_sets, weak_basin
 from .reachability import (
     chain_reach,
     find_uniform_delta,
+    max_cells_cap,
     orbit_reach,
     robustness_check,
     semicontinuity_probe,
@@ -41,7 +42,7 @@ EXIT_CONFIG = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_VERIFY_FAIL = 3
 
-GLOBAL_KEYS = {"system", "domain", "grid", "seed", "threads"}
+GLOBAL_KEYS = {"system", "domain", "grid", "seed"}
 COMMAND_KEYS = {
     "reach": {"x", "policy", "max_steps", "tol"},
     "chainreach": {"start", "eps0", "levels"},
@@ -120,6 +121,26 @@ def witness_csv(rows, ndim: int) -> str:
 # config loading and validation
 # --------------------------------------------------------------------------
 
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return True
+
+
+def _strict_object(pairs) -> dict:
+    """JSON object hook: duplicate keys and NaN/Infinity are errors."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        if not _finite(value):
+            raise ConfigError(f"key {key!r} must be finite")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
     """Strict JSON config; parse errors carry line/column."""
     try:
@@ -127,7 +148,7 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_strict_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error: {exc.msg}",
                           line=exc.lineno, column=exc.colno) from exc
@@ -142,15 +163,26 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _number(key: str, value, integer: bool = False):
+    """A JSON number for ``key``; booleans and strings are rejected."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(
+            f"key {key!r} must be {'an integer' if integer else 'a number'}")
+    return value
+
+
 def _positive(cfg: dict, key: str, kind=float):
-    v = kind(_require(cfg, key))
+    v = kind(_number(key, _require(cfg, key), integer=kind is int))
     if v <= 0:
         raise ConfigError(f"key {key!r} must be positive")
     return v
 
 
 def _decreasing_schedule(raw, key):
-    sched = [float(v) for v in raw]
+    if not isinstance(raw, list):
+        raise ConfigError(f"key {key!r} must be a strictly decreasing list")
+    sched = [float(_number(key, v)) for v in raw]
     if not sched or any(b >= a for a, b in zip(sched, sched[1:])):
         raise ConfigError(f"key {key!r} must be a strictly decreasing list")
     if sched[-1] <= 0:
@@ -171,19 +203,14 @@ def validate_config(command: str, cfg: dict) -> dict:
     extra = set(sysspec) - {"name", "parameters"}
     if extra:
         raise ConfigError(f"unknown key {sorted(extra)[0]!r} in 'system'")
-    if "threads" in cfg:
-        t = cfg["threads"]
-        if not (t == "auto" or (isinstance(t, int) and t >= 1)):
-            raise ConfigError("key 'threads' must be a positive integer or 'auto'")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        raise ConfigError("key 'seed' must be an integer")
     if "delta_schedule" in cfg:
         _decreasing_schedule(cfg["delta_schedule"], "delta_schedule")
     for key in ("eps", "eps0", "v_eps", "tol"):
-        if key in cfg and float(cfg[key]) <= 0:
+        if key in cfg and _number(key, cfg[key]) <= 0:
             raise ConfigError(f"key {key!r} must be positive")
-    for key in ("levels", "max_steps", "n_max", "instances", "component"):
-        if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < 0):
+    for key in ("seed", "levels", "max_steps", "n_max", "instances",
+                "component"):
+        if key in cfg and _number(key, cfg[key], integer=True) < 0:
             raise ConfigError(f"key {key!r} must be a non-negative integer")
     return cfg
 
@@ -208,8 +235,13 @@ def _build_grid(cfg: dict, system) -> Grid:
     extra = set(gspec) - {"cells_per_dim"}
     if extra:
         raise ConfigError(f"unknown key {sorted(extra)[0]!r} in 'grid'")
-    cap = int(os.environ.get("CHAINSCOPE_MAX_CELLS", 2 ** 22))
-    grid = Grid(system.domain, gspec["cells_per_dim"])
+    cells = [_number("cells_per_dim", v, integer=True)
+             for v in _as_list(gspec["cells_per_dim"])]
+    try:
+        grid = Grid(system.domain, cells)
+    except ValueError as exc:
+        raise ConfigError(f"key 'cells_per_dim': {exc}") from exc
+    cap = max_cells_cap()
     if grid.n_cells > cap:
         raise ResourceLimitError(
             f"grid has {grid.n_cells} cells, above CHAINSCOPE_MAX_CELLS={cap}"
@@ -217,17 +249,28 @@ def _build_grid(cfg: dict, system) -> Grid:
     return grid
 
 
-def _point(cfg, key):
+def _as_list(raw) -> list:
+    return raw if isinstance(raw, list) else [raw]
+
+
+def _coords(key: str, raw) -> list[float]:
+    """A point given as a number or a list of coordinates."""
+    return [float(_number(key, v)) for v in _as_list(raw)]
+
+
+def _point(cfg, key) -> list[float]:
+    return _coords(key, _require(cfg, key))
+
+
+def _points(cfg, key) -> list[list[float]]:
     raw = _require(cfg, key)
-    if isinstance(raw, (int, float)):
-        return [float(raw)]
-    return [float(v) for v in raw]
+    if not isinstance(raw, list):
+        raise ConfigError(f"key {key!r} must be a list of points")
+    return [_coords(key, p) for p in raw]
 
 
 def _start_cells(cfg, grid) -> CellSet:
-    raw = _require(cfg, "start")
-    pts = [[p] if isinstance(p, (int, float)) else p for p in raw]
-    return CellSet.from_points(grid, pts)
+    return CellSet.from_points(grid, _points(cfg, "start"))
 
 
 # --------------------------------------------------------------------------
@@ -334,12 +377,8 @@ def _run_basin(cfg, system, grid):
 
 
 def _run_dichotomy(cfg, system, grid):
-    pts = [
-        [p] if isinstance(p, (int, float)) else [float(v) for v in p]
-        for p in _require(cfg, "sample_points")
-    ]
     rep = dichotomy_report(
-        system, pts,
+        system, _points(cfg, "sample_points"),
         eps0=_positive(cfg, "eps0"),
         levels=_positive(cfg, "levels", int),
         robust_eps=float(cfg.get("eps", 0.1)),
@@ -450,22 +489,12 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=None, help="report output path")
-    parser.add_argument("--threads", default="auto",
-                        help="worker count (results never depend on it)")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
     t0 = time.monotonic()
     try:
         cfg = load_config(args.config)
-        if args.threads != "auto":
-            try:
-                if int(args.threads) < 1:
-                    raise ValueError
-            except ValueError:
-                print("error: --threads must be a positive integer or 'auto'",
-                      file=sys.stderr)
-                return EXIT_CONFIG
         code, outcome, work, sidecars = run(args.command, cfg)
         report = assemble_report(args.command, cfg, outcome, work)
         write_report(report, args.out, sidecars)

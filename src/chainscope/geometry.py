@@ -420,6 +420,34 @@ class CellSet:
         fp.write(self.dumps())
 
 
+def _index_ranges(grid: Grid, lo, hi):
+    """(start, length) of the 1-D cell index ranges [lo, hi] on the grid.
+
+    Box ranges are clipped to the grid; circle ranges are taken modulo n and
+    capped at n cells.  Either way 0 <= start < n and 1 <= length <= n, and
+    the range covers the cells (start + i) % n for 0 <= i < length.
+    """
+    n = grid.n_cells
+    if grid.wrap:
+        return lo % n, np.minimum(hi - lo + 1, n)
+    start = np.clip(lo, 0, n - 1)
+    return start, np.clip(hi, 0, n - 1) - start + 1
+
+
+def _range_union(n: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mask of the n cells covered by the (start, length) ranges, by one
+    difference-array sweep; a range past n - 1 wraps to 0."""
+    ends = starts + lengths
+    diff = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(diff, starts, 1)
+    np.add.at(diff, np.minimum(ends, n), -1)
+    over = ends > n
+    if over.any():
+        diff[0] += int(np.count_nonzero(over))
+        np.add.at(diff, ends[over] - n, -1)
+    return np.cumsum(diff[:n]) > 0
+
+
 def fatten(cells: CellSet, eps: float) -> CellSet:
     """All cells touching the closed eps-neighborhood of the input cells.
 
@@ -433,42 +461,28 @@ def fatten(cells: CellSet, eps: float) -> CellSet:
         return cells.copy()
     if grid.domain.ndim == 1:
         k = grid.fatten_offsets(eps)
-        n = grid.n_cells
         idx = cells.indices()
-        if grid.wrap:
-            if 2 * k + 1 >= n:
-                return CellSet.full(grid)
-            diff = np.zeros(n + 1, dtype=np.int64)
-            starts = (idx - k) % n
-            ends = starts + 2 * k + 1
-            np.add.at(diff, starts, 1)
-            np.add.at(diff, np.minimum(ends, n), -1)
-            over = ends > n
-            if over.any():
-                diff[0] += int(np.count_nonzero(over))
-                np.add.at(diff, ends[over] - n, -1)
-            mask = np.cumsum(diff[:n]) > 0
-        else:
-            diff = np.zeros(n + 1, dtype=np.int64)
-            starts = np.maximum(idx - k, 0)
-            ends = np.minimum(idx + k, n - 1) + 1
-            np.add.at(diff, starts, 1)
-            np.add.at(diff, ends, -1)
-            mask = np.cumsum(diff[:n]) > 0
+        starts, lengths = _index_ranges(grid, idx - k, idx + k)
+        mask = _range_union(grid.n_cells, starts, lengths)
         return CellSet(grid, mask.reshape(grid.shape))
     struct = grid.fatten_offsets(eps)
     mask = binary_dilation(cells.mask, structure=struct)
     return CellSet(grid, mask)
 
 
-def _directed_hausdorff_circle(a: np.ndarray, b: np.ndarray) -> float:
-    """max over a of min wraparound distance to b; b sorted ascending."""
-    pos = np.searchsorted(b, a)
-    n = b.shape[0]
-    cand_idx = np.stack([(pos - 1) % n, pos % n], axis=0)
-    d = np.abs(b[cand_idx] - a[None, :])
-    d = np.minimum(d, 1.0 - d)
-    return float(np.max(np.min(d, axis=0)))
+def nearest_distances(domain: Domain, points: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Distance from each row of ``points`` to the nearest row of ``ref``.
+
+    A sorted search on the circle (the nearest point is a neighbor in cyclic
+    order) and a k-d tree on boxes.
+    """
+    if domain.kind == "circle":
+        a = points[:, 0] % 1.0
+        b = np.sort(ref[:, 0])
+        pos = np.searchsorted(b, a)
+        d = np.abs(b[np.stack([pos - 1, pos % b.size])] - a)
+        return np.min(np.minimum(d, 1.0 - d), axis=0)
+    return cKDTree(ref).query(points)[0]
 
 
 def hausdorff(a: CellSet, b: CellSet) -> float:
@@ -478,12 +492,6 @@ def hausdorff(a: CellSet, b: CellSet) -> float:
     if not a or not b:
         raise EmptySetError("hausdorff of an empty cell set")
     ca, cb = a.centers(), b.centers()
-    if a.grid.domain.kind == "circle":
-        xa = np.sort(ca[:, 0])
-        xb = np.sort(cb[:, 0])
-        return max(_directed_hausdorff_circle(xa, xb),
-                   _directed_hausdorff_circle(xb, xa))
-    ta, tb = cKDTree(ca), cKDTree(cb)
-    d_ab = np.max(tb.query(ca)[0])
-    d_ba = np.max(ta.query(cb)[0])
-    return float(max(d_ab, d_ba))
+    dom = a.grid.domain
+    return float(max(np.max(nearest_distances(dom, ca, cb)),
+                     np.max(nearest_distances(dom, cb, ca))))

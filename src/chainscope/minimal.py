@@ -20,7 +20,9 @@ from .errors import PreconditionError
 from .geometry import CellSet, Grid, fatten, grid_for
 from .reachability import (
     RobustnessCertificate,
+    _refine_capped,
     default_delta_schedule,
+    max_cells_cap,
     orbit_reach,
     robustness_check,
 )
@@ -230,8 +232,9 @@ def minimal_sets(
         base_grid = grid_for(sys.domain, eps0)
     level_comps: list[list[np.ndarray]] = []
     grids: list[Grid] = []
+    cap = max_cells_cap()
     for k in range(levels):
-        grid_k = base_grid.refine(2 ** k)
+        grid_k = _refine_capped(base_grid, k, cap)
         g = build_graph(sys, grid_k, eps0 / (2 ** k))
         level_comps.append([cs.indices() for cs in recurrent_cells(g)])
         grids.append(grid_k)
@@ -428,8 +431,9 @@ def weak_basin(
     if not is_graph_invariant(sys, a_set, inv):
         raise PreconditionError("a_set is not forward-invariant at graph level")
     results = []
+    cap = max_cells_cap()
     for k in range(levels):
-        grid_k = grid0.refine(2 ** k)
+        grid_k = _refine_capped(grid0, k, cap)
         a_k = a_set.refine(2 ** k) if k else a_set.copy()
         eps_k = 4.0 * grid_k.cell_diameter
         tolerant = fatten(a_k, eps_k)

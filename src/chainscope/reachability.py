@@ -9,18 +9,28 @@ perturbed trajectory that provably escapes it.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainError,
     InconclusiveError,
     ResolutionError,
     ResourceLimitError,
 )
-from .geometry import CellSet, Domain, Grid, fatten, grid_for, hausdorff
+from .geometry import (
+    CellSet,
+    Domain,
+    Grid,
+    fatten,
+    grid_for,
+    hausdorff,
+    nearest_distances,
+)
 from .systems import System
 from .transition import (
     build_graph,
@@ -34,12 +44,35 @@ DEFAULT_MAX_CELLS = 2 ** 22
 
 
 def max_cells_cap() -> int:
+    """The grid-size cap: CHAINSCOPE_MAX_CELLS cells, default 2^22."""
     raw = os.environ.get("CHAINSCOPE_MAX_CELLS")
-    return int(raw) if raw else DEFAULT_MAX_CELLS
+    if not raw:
+        return DEFAULT_MAX_CELLS
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(
+            f"CHAINSCOPE_MAX_CELLS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _refine_capped(grid: Grid, k: int, cap: int, partial=None) -> Grid:
+    """The level-k grid (refined 2^k times), refused before anything is
+    allocated on it when it has more than ``cap`` cells."""
+    fine = grid.refine(2 ** k)
+    if fine.n_cells > cap:
+        raise ResourceLimitError(
+            f"level {k} grid ({fine.n_cells} cells) exceeds the cell cap {cap} "
+            f"(CHAINSCOPE_MAX_CELLS)", partial=partial)
+    return fine
 
 
 def default_delta_schedule(eps: float, floor: float) -> list[float]:
     """Geometric halving from eps/2 down to the resolution floor."""
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     vals = []
     v = eps / 2.0
     while v >= floor * (1.0 - 1e-12):
@@ -283,12 +316,10 @@ def chain_reach(
     out: list[ChainLevel] = []
     for k in range(levels):
         eps_k = eps0 / (2 ** k)
-        grid_k = start.grid.refine(2 ** k)
-        if grid_k.n_cells > cap:
-            raise ResourceLimitError(
-                f"level {k} grid ({grid_k.n_cells} cells) exceeds cap {cap}",
-                partial=ChainReachResult(out, out[-1].cells if out else start, False),
-            )
+        grid_k = _refine_capped(
+            start.grid, k, cap,
+            partial=ChainReachResult(out, out[-1].cells if out else start, False),
+        )
         start_k = start.refine(2 ** k) if k else start.copy()
         if fatten_start:
             start_k = fatten(start_k, eps_k)
@@ -342,7 +373,7 @@ class RobustnessCertificate:
 
 
 def _min_orbit_distance(domain: Domain, p: np.ndarray, orbit_pts: np.ndarray) -> float:
-    return float(np.min(domain.distances_to(orbit_pts, p)))
+    return float(nearest_distances(domain, p[None, :], orbit_pts)[0])
 
 
 def _wrapped_delta(domain: Domain, frm: np.ndarray, to: np.ndarray) -> np.ndarray:
@@ -438,10 +469,7 @@ def robustness_check(
     reach, depths = forward_reach_depths(last_graph, start)
     escaped = reach - target
     esc_idx = escaped.indices()
-    esc_centers = grid.centers()[esc_idx]
-    dists = np.array(
-        [_min_orbit_distance(sys.domain, c, orbit.points) for c in esc_centers]
-    )
+    dists = nearest_distances(sys.domain, grid.centers()[esc_idx], orbit.points)
     witness_cell = int(esc_idx[int(np.argmax(dists))])
     cells = extract_path(last_graph, depths, witness_cell)
     path = [(cells[0], None)]
@@ -469,24 +497,23 @@ def _extend_chain(sys, rows, z, orbit_pts, eps, budget, max_extra=400):
     best = _min_orbit_distance(dom, z, orbit_pts)
     for _ in range(max_extra):
         step += 1
-        cand = None
+        raws, pushed = [], []
         for u in sys.controls:
             raw = sys.image_points(z[None, :], u)[0]
             near = orbit_pts[int(np.argmin(dom.distances_to(orbit_pts, raw)))]
             away = _wrapped_delta(dom, near, raw)
             norm = float(np.linalg.norm(away))
             v = away / norm * budget if norm > 0 else np.zeros_like(raw)
-            z_new = _project(dom, raw + v)
-            d = _min_orbit_distance(dom, z_new, orbit_pts)
-            if cand is None or d > cand[0]:
-                cand = (d, u, z_new, raw)
-        d, u, z_new, raw = cand
+            raws.append(raw)
+            pushed.append(_project(dom, raw + v))
+        # keep the control whose pushed point lands farthest from the orbit
+        dists = nearest_distances(dom, np.array(pushed), orbit_pts)
+        j = int(np.argmax(dists))
+        z, best = pushed[j], float(dists[j])
         rows.append(
-            WitnessStep(step, tuple(float(t) for t in z_new), u,
-                        dom.distance(z_new, raw))
+            WitnessStep(step, tuple(float(t) for t in z), sys.controls[j],
+                        dom.distance(z, raws[j]))
         )
-        z = z_new
-        best = d
         if best > eps * 1.05:
             break
     return rows, z, best
@@ -580,23 +607,6 @@ def find_uniform_delta(
             found = delta
             break
     return found, UniformDeltaReport(eps, n_max, entries, found)
-
-
-def check_step_inclusion(sys: System, start: CellSet, eps: float, delta: float,
-                         n_max: int) -> int | None:
-    """First n <= n_max where delta-iterates from the fattened start leave the
-    eps-iterates, or None if dominated throughout."""
-    grid = start.grid
-    g_eps = build_graph(sys, grid, eps)
-    g_d = build_graph(sys, grid, delta)
-    a = fatten(start, delta).mask
-    b = start.mask.copy()
-    for n in range(1, n_max + 1):
-        a = g_d._impl.image_of(a)
-        b = g_eps._impl.image_of(b)
-        if np.any(a & ~b):
-            return n
-    return None
 
 
 # --------------------------------------------------------------------------

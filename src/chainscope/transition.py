@@ -6,8 +6,9 @@ the rigorous image of c.  Edges therefore over-approximate the perturbed
 map restricted to the cell, for every point of the cell and every control.
 
 In one dimension the successor set of a (cell, control) pair is a contiguous
-index range, so the graph is stored as per-control (lo, hi) range arrays and
-set-valued steps run as difference-array sweeps in O(n).  Two-dimensional
+index range, taken modulo n, so the graph is stored as per-control
+(start, length) arrays and set-valued steps run as difference-array sweeps in
+O(n).  Two-dimensional
 graphs use an explicit sparse boolean matrix.
 """
 from __future__ import annotations
@@ -17,112 +18,63 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptySetError, ResolutionError, ResourceLimitError
-from .geometry import CellSet, Grid
+from .geometry import CellSet, Grid, _index_ranges, _range_union
 from .systems import System, _RADIUS_SAFETY
 
 MAX_EXPLICIT_EDGES = 200_000_000
 
 
 class _RangeGraph:
-    """1-D successor ranges: per control, successors(c) = [lo[c], hi[c]].
+    """1-D successor ranges: under control j, successors(c) are the cells
+    (start[j, c] + i) % n for 0 <= i < length[j, c].
 
-    On the circle the range is stored unwrapped (lo may be negative, hi may
-    exceed n-1); membership is taken modulo n.  Ranges always have length
-    between 1 and n.
+    0 <= start < n and 1 <= length <= n.  Box ranges never pass n - 1;
+    circle ranges may wrap past it, so membership is always taken modulo n.
     """
 
-    def __init__(self, n: int, lo: np.ndarray, hi: np.ndarray, wrap: bool):
+    def __init__(self, n: int, start: np.ndarray, length: np.ndarray):
         self.n = n
-        self.lo = lo     # (n, n_controls) int64
-        self.hi = hi
-        self.wrap = wrap
+        self.start = start       # (n_controls, n) int64
+        self.length = length
 
     def successors(self, c: int) -> np.ndarray:
-        outs = []
-        for j in range(self.lo.shape[1]):
-            rng = np.arange(self.lo[c, j], self.hi[c, j] + 1)
-            outs.append(rng % self.n if self.wrap else rng)
-        return np.unique(np.concatenate(outs))
+        return np.unique(np.concatenate([
+            (s + np.arange(l)) % self.n
+            for s, l in zip(self.start[:, c], self.length[:, c])
+        ]))
 
     def image_of(self, mask: np.ndarray) -> np.ndarray:
-        flat = mask.reshape(-1)
-        idx = np.flatnonzero(flat)
-        diff = np.zeros(self.n + 1, dtype=np.int64)
-        for j in range(self.lo.shape[1]):
-            lo = self.lo[idx, j]
-            length = self.hi[idx, j] - lo + 1
-            if self.wrap:
-                starts = lo % self.n
-                ends = starts + length
-                np.add.at(diff, starts, 1)
-                np.add.at(diff, np.minimum(ends, self.n), -1)
-                over = ends > self.n
-                if over.any():
-                    diff[0] += int(np.count_nonzero(over))
-                    np.add.at(diff, ends[over] - self.n, -1)
-            else:
-                np.add.at(diff, lo, 1)
-                np.add.at(diff, lo + length, -1)
-        return (np.cumsum(diff[: self.n]) > 0).reshape(mask.shape)
+        idx = np.flatnonzero(mask.reshape(-1))
+        return _range_union(self.n, self.start[:, idx].ravel(),
+                            self.length[:, idx].ravel()).reshape(mask.shape)
 
     def preimage_of(self, mask: np.ndarray) -> np.ndarray:
-        flat = mask.reshape(-1).astype(np.int64)
-        prefix = np.concatenate([[0], np.cumsum(flat)])
-        hit = np.zeros(self.n, dtype=bool)
-        for j in range(self.lo.shape[1]):
-            lo = self.lo[:, j]
-            length = self.hi[:, j] - lo + 1
-            if self.wrap:
-                starts = lo % self.n
-                ends = starts + length
-                wrapped = ends > self.n
-                cnt = np.where(
-                    wrapped,
-                    (prefix[self.n] - prefix[starts])
-                    + prefix[np.minimum(ends - self.n, self.n)],
-                    prefix[np.minimum(ends, self.n)] - prefix[starts],
-                )
-            else:
-                cnt = prefix[lo + length] - prefix[lo]
-            hit |= cnt > 0
-        return hit.reshape(mask.shape)
+        prefix = np.concatenate([[0], np.cumsum(mask.reshape(-1), dtype=np.int64)])
+        ends = self.start + self.length
+        # cells in [start, min(end, n)) plus, for a wrapped range, [0, end - n)
+        cnt = (prefix[np.minimum(ends, self.n)] - prefix[self.start]
+               + prefix[np.maximum(ends - self.n, 0)])
+        return np.any(cnt > 0, axis=0).reshape(mask.shape)
 
     def self_loops(self) -> np.ndarray:
-        cells = np.arange(self.n)
-        hit = np.zeros(self.n, dtype=bool)
-        for j in range(self.lo.shape[1]):
-            if self.wrap:
-                length = self.hi[:, j] - self.lo[:, j]
-                hit |= (cells - self.lo[:, j]) % self.n <= length
-            else:
-                hit |= (self.lo[:, j] <= cells) & (cells <= self.hi[:, j])
-        return hit
+        return np.any((np.arange(self.n) - self.start) % self.n < self.length,
+                      axis=0)
 
     def edge_count(self) -> int:
-        total = 0
-        for j in range(self.lo.shape[1]):
-            total += int(np.sum(np.minimum(self.hi[:, j] - self.lo[:, j] + 1,
-                                           self.n)))
-        return total
+        return int(self.length.sum())
 
     def to_csr(self) -> sp.csr_matrix:
         if self.edge_count() > MAX_EXPLICIT_EDGES:
             raise ResourceLimitError("graph too dense to materialize explicitly")
-        rows, cols = [], []
-        for j in range(self.lo.shape[1]):
-            lo = self.lo[:, j]
-            length = (self.hi[:, j] - lo + 1).astype(np.int64)
-            total = int(length.sum())
-            r = np.repeat(np.arange(self.n), length)
-            offs = np.arange(total) - np.repeat(
-                np.concatenate([[0], np.cumsum(length)[:-1]]), length
-            )
-            c = np.repeat(lo, length) + offs
-            cols.append(c % self.n if self.wrap else c)
-            rows.append(r)
+        length = self.length.ravel()
+        total = int(length.sum())
+        rows = np.repeat(np.tile(np.arange(self.n), self.start.shape[0]), length)
+        # entry i of the range that begins at flat position p is start + (i - p)
+        cols = np.arange(total, dtype=np.int64)
+        cols += np.repeat(self.start.ravel() - (np.cumsum(length) - length), length)
+        cols %= self.n
         m = sp.coo_matrix(
-            (np.ones(sum(r.size for r in rows), dtype=np.uint8),
-             (np.concatenate(rows), np.concatenate(cols))),
+            (np.ones(total, dtype=np.uint8), (rows, cols)),
             shape=(self.n, self.n),
         ).tocsr()
         m.data[:] = 1
@@ -211,25 +163,16 @@ def build_graph(sys: System, grid: Grid, eps: float) -> TransitionGraph:
     rho = sys.lipschitz * (grid.cell_diameter / 2.0) * _RADIUS_SAFETY
 
     if grid.domain.ndim == 1:
-        n = grid.n_cells
         k = grid.fatten_offsets(eps)
-        n_ctrl = len(sys.controls)
-        lo = np.empty((n, n_ctrl), dtype=np.int64)
-        hi = np.empty((n, n_ctrl), dtype=np.int64)
+        shape = (len(sys.controls), grid.n_cells)
+        start = np.empty(shape, dtype=np.int64)
+        length = np.empty(shape, dtype=np.int64)
         for j, u in enumerate(sys.controls):
             pts = sys.image_points(centers, u)[:, 0]
             i0, i1 = grid.axis_touch_range(pts - rho, pts + rho)
-            i0 -= k
-            i1 += k
-            if grid.wrap:
-                too_wide = (i1 - i0 + 1) >= n
-                i1 = np.where(too_wide, i0 + n - 1, i1)
-            else:
-                i0 = np.clip(i0, 0, n - 1)
-                i1 = np.clip(i1, 0, n - 1)
-            lo[:, j] = i0
-            hi[:, j] = i1
-        return TransitionGraph(sys, grid, eps, _RangeGraph(n, lo, hi, grid.wrap))
+            start[j], length[j] = _index_ranges(grid, i0 - k, i1 + k)
+        return TransitionGraph(sys, grid, eps,
+                               _RangeGraph(grid.n_cells, start, length))
 
     struct = grid.fatten_offsets(eps)
     pad0, pad1 = struct.shape[0] // 2, struct.shape[1] // 2
@@ -262,17 +205,26 @@ def build_graph(sys: System, grid: Grid, eps: float) -> TransitionGraph:
     return TransitionGraph(sys, grid, eps, _CsrGraph(m))
 
 
+def _closure(step, seed: np.ndarray, depths: np.ndarray | None = None) -> np.ndarray:
+    """Least superset of the seed mask closed under ``step``, by breadth-first
+    sweeps; writes each newly reached cell's sweep number into ``depths``."""
+    reached = seed.copy()
+    frontier = seed
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = step(frontier) & ~reached
+        reached |= frontier
+        if depths is not None:
+            depths[frontier.reshape(-1)] = level
+    return reached
+
+
 def forward_reach(g: TransitionGraph, start: CellSet) -> CellSet:
     """Least fixed point containing start and closed under graph successors."""
     if not start:
         raise EmptySetError("forward_reach from an empty start set")
-    reached = start.mask.copy()
-    frontier = start.mask.copy()
-    while frontier.any():
-        img = g._impl.image_of(frontier)
-        frontier = img & ~reached
-        reached |= frontier
-    return CellSet(g.grid, reached)
+    return CellSet(g.grid, _closure(g._impl.image_of, start.mask))
 
 
 def forward_reach_depths(g: TransitionGraph, start: CellSet):
@@ -281,15 +233,7 @@ def forward_reach_depths(g: TransitionGraph, start: CellSet):
         raise EmptySetError("forward_reach from an empty start set")
     depths = np.full(g.n_cells, -1, dtype=np.int64)
     depths[start.indices()] = 0
-    reached = start.mask.copy()
-    frontier = start.mask.copy()
-    level = 0
-    while frontier.any():
-        level += 1
-        img = g._impl.image_of(frontier)
-        frontier = img & ~reached
-        reached |= frontier
-        depths[frontier.reshape(-1)] = level
+    reached = _closure(g._impl.image_of, start.mask, depths)
     return CellSet(g.grid, reached), depths
 
 
@@ -297,13 +241,7 @@ def backward_reach(g: TransitionGraph, target: CellSet) -> CellSet:
     """All cells whose forward reach intersects the target."""
     if not target:
         raise EmptySetError("backward_reach to an empty target set")
-    reached = target.mask.copy()
-    frontier = target.mask.copy()
-    while frontier.any():
-        pre = g._impl.preimage_of(frontier)
-        frontier = pre & ~reached
-        reached |= frontier
-    return CellSet(g.grid, reached)
+    return CellSet(g.grid, _closure(g._impl.preimage_of, target.mask))
 
 
 def recurrent_cells(g: TransitionGraph) -> list[CellSet]:
@@ -353,12 +291,9 @@ def edge_control(g: TransitionGraph, src: int, dst: int):
     """A control value under which the edge src -> dst exists."""
     impl = g._impl
     if isinstance(impl, _RangeGraph):
-        for j, u in enumerate(g.system.controls):
-            lo, hi = impl.lo[src, j], impl.hi[src, j]
-            if impl.wrap:
-                if (dst - lo) % impl.n <= hi - lo:
-                    return u
-            elif lo <= dst <= hi:
+        hit = (dst - impl.start[:, src]) % impl.n < impl.length[:, src]
+        for u, ok in zip(g.system.controls, hit):
+            if ok:
                 return u
     else:
         from .systems import image_cell

@@ -155,6 +155,58 @@ def test_grid_cap_env(tmp_path, monkeypatch):
     assert run_cli(["robust", "--config", path, "--quiet"]) == 1
 
 
+_SQUARE = '"system": {"name": "square"}, "grid": {"cells_per_dim": [64]}'
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("robust", '{%s, "x": 0.5, "eps": Infinity}' % _SQUARE, "eps"),
+    ("robust", '{%s, "x": 0.5, "eps": NaN}' % _SQUARE, "eps"),
+    ("robust", '{%s, "x": 0.5, "eps": "abc"}' % _SQUARE, "eps"),
+    ("robust", '{%s, "x": "abc", "eps": 0.1}' % _SQUARE, "x"),
+    ("robust", '{"system": {"name": "square"}, '
+               '"grid": {"cells_per_dim": ["x"]}, "x": 0.5, "eps": 0.1}',
+     "cells_per_dim"),
+    ("verify", '{%s, "property": "lemma2", "instances": 2, "n_max": 5, '
+               '"seed": -3}' % _SQUARE, "seed"),
+    ("minimal", '{%s, "eps0": 0.1, "levels": true}' % _SQUARE, "levels"),
+    ("robust", '{%s, "x": 0.5, "eps": 0.1, "eps": 0.2}' % _SQUARE, "eps"),
+], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
+        "cells-string", "seed-negative", "levels-bool", "eps-duplicate"])
+def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
+    path = tmp_path / "probe.json"
+    path.write_text(text)
+    out = str(tmp_path / "rep.json")
+    assert run_cli([command, "--config", str(path), "--out", out,
+                    "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err, err
+
+
+@pytest.mark.parametrize("command,levels,cap", [
+    ("minimal", 12, "1000"),   # the census's level 4 has 1024 cells
+    ("basin", 1, "100"),       # the basin's level 1 has 128 cells
+])
+def test_grid_cap_checked_at_every_level(tmp_path, monkeypatch, capsys,
+                                         command, levels, cap):
+    monkeypatch.setenv("CHAINSCOPE_MAX_CELLS", cap)
+    cfg = {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+           "eps0": 0.1, "levels": levels}
+    path = write_cfg(tmp_path, "deep.json", cfg)
+    out = str(tmp_path / "rep.json")
+    assert run_cli([command, "--config", path, "--out", out, "--quiet"]) == 1
+    assert "CHAINSCOPE_MAX_CELLS" in capsys.readouterr().err
+
+
+def test_grid_cap_env_must_be_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHAINSCOPE_MAX_CELLS", "lots")
+    cfg = {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+           "x": 0.5, "eps": 0.1}
+    path = write_cfg(tmp_path, "env.json", cfg)
+    out = str(tmp_path / "rep.json")
+    assert run_cli(["robust", "--config", path, "--out", out, "--quiet"]) == 1
+    assert "CHAINSCOPE_MAX_CELLS" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # verify subcommands
 # --------------------------------------------------------------------------
@@ -192,16 +244,16 @@ def test_verify_semicontinuity_violation_exit_three(tmp_path):
 # determinism
 # --------------------------------------------------------------------------
 
-def test_reports_byte_identical_across_threads(tmp_path):
+def test_reports_byte_identical_across_reruns(tmp_path):
     cfg = {"system": {"name": "logistic", "parameters": {"r": 2.8}},
            "grid": {"cells_per_dim": [256]},
            "sample_points": [0.3], "eps0": 0.05, "levels": 2}
     path = write_cfg(tmp_path, "d.json", cfg)
     outs = []
-    for threads, name in [("1", "a"), ("8", "b"), ("1", "c")]:
+    for name in ("a", "b", "c"):
         out = tmp_path / f"rep_{name}.json"
         code = run_cli(["dichotomy", "--config", path, "--out", str(out),
-                        "--threads", threads, "--quiet"])
+                        "--quiet"])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]

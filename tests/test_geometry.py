@@ -10,6 +10,7 @@ from chainscope.geometry import (
     grid_for,
     hausdorff,
     metric_distance,
+    nearest_distances,
 )
 
 BOX = Domain.box([[0.0, 1.0]])
@@ -126,13 +127,18 @@ def test_fatten_contains_input_and_full_grid_fixed_point():
 
 @pytest.mark.parametrize("domain,cells", [
     (BOX, 60), (CIRCLE, 60), (Domain.box([[0, 1], [0, 2]]), (8, 10)),
+    # 3 circle cells: 2k + 1 >= n, every range covers the whole circle
+    (CIRCLE, 3),
+    # a box narrower than eps = 0.11
+    (Domain.box([[0.0, 0.05]]), 6),
 ])
 def test_fatten_matches_bruteforce_oracle(domain, cells):
     rng = np.random.default_rng(11)
     g = Grid(domain, cells)
     for eps in (0.04, 0.11):
         for _ in range(5):
-            members = rng.choice(g.n_cells, size=4, replace=False)
+            members = rng.choice(g.n_cells, size=min(4, g.n_cells - 1),
+                                 replace=False)
             s = CellSet.from_indices(g, members)
             assert fatten(s, eps) == _fatten_oracle(s, eps)
 
@@ -193,6 +199,20 @@ def test_hausdorff_symmetric_and_triangle():
             assert hausdorff(a, b) <= (
                 hausdorff(a, c) + hausdorff(c, b) + 1e-12
             )
+
+
+@pytest.mark.parametrize("domain", [
+    BOX, CIRCLE, Domain.box([[0, 1], [0, 2]]),
+])
+def test_nearest_distances_match_per_point_minimum(domain):
+    rng = np.random.default_rng(17)
+    lo, width = domain.bounds[:, 0], domain.widths
+    for _ in range(50):
+        m, k = rng.integers(1, 40, size=2)
+        pts = lo + rng.random((m, domain.ndim)) * width
+        ref = lo + rng.random((k, domain.ndim)) * width
+        want = [np.min(domain.distances_to(ref, p)) for p in pts]
+        assert np.array_equal(nearest_distances(domain, pts, ref), want)
 
 
 def test_hausdorff_empty_raises():

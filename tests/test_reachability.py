@@ -5,7 +5,7 @@ from chainscope.errors import InconclusiveError, ResourceLimitError
 from chainscope.geometry import CellSet, Domain, Grid, fatten, hausdorff
 from chainscope.reachability import (
     chain_reach,
-    check_step_inclusion,
+    default_delta_schedule,
     find_uniform_delta,
     orbit_reach,
     replay_certificate,
@@ -225,6 +225,12 @@ def test_uniform_delta_square_band():
     assert found is not None and found <= 0.05 + 1e-12
 
 
+@pytest.mark.parametrize("eps", [float("inf"), float("nan")])
+def test_delta_schedule_rejects_non_finite_eps(eps):
+    with pytest.raises(ValueError, match="finite"):
+        default_delta_schedule(eps, 0.01)
+
+
 def test_uniform_delta_rotation_isometry():
     g = Grid(Domain.circle(), 512)
     start = CellSet.from_points(g, [[0.2]])
@@ -235,7 +241,9 @@ def test_uniform_delta_rotation_isometry():
 def test_delta_equal_eps_fails_at_one_step():
     g = Grid(BOX, 256)
     start = CellSet.from_points(g, [[0.5]])
-    assert check_step_inclusion(identity_map(), start, 0.1, 0.1, 5) == 1
+    _, rep = find_uniform_delta(identity_map(), start, 0.1, 5,
+                                delta_schedule=[0.1])
+    assert rep.entries == [(0.1, False, 1)]
 
 
 # --------------------------------------------------------------------------

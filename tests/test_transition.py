@@ -248,6 +248,36 @@ def test_forward_reach_matches_matrix_closure(sys_factory, domain, n):
 
 
 # --------------------------------------------------------------------------
+# 1-D range sweeps against the explicit matrix
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sys_factory,domain", [
+    (square, BOX),
+    (lambda: rotation(0.23), Domain.circle()),
+    (lambda: drift_control(0.5), Domain.box([[-1, 1]])),
+])
+@pytest.mark.parametrize("eps_cells", [4, 40])
+def test_range_sweeps_match_csr(sys_factory, domain, eps_cells):
+    # eps_cells=40 on 50 cells makes every circle range full length and
+    # clips box ranges at one or both ends; rotation ranges wrap either way
+    g = Grid(domain, 50)
+    gr = build_graph(sys_factory(), g, eps_cells * g.cell_diameter)
+    csr = gr.to_csr()
+    assert np.array_equal(gr.self_loops(), csr.diagonal().astype(bool))
+    for c in range(g.n_cells):
+        row = csr.indices[csr.indptr[c]:csr.indptr[c + 1]]
+        assert np.array_equal(gr.successors(c), np.sort(row))
+    rng = np.random.default_rng(53)
+    for density in (0.02, 0.3, 1.0):
+        for _ in range(5):
+            mask = rng.random(g.n_cells) < density
+            vec = mask.astype(np.uint8)
+            cells = CellSet(g, mask)
+            assert np.array_equal(gr.image_of(cells).mask, vec @ csr > 0)
+            assert np.array_equal(gr.preimage_of(cells).mask, csr @ vec > 0)
+
+
+# --------------------------------------------------------------------------
 # orbit over-approximation
 # --------------------------------------------------------------------------
 
