@@ -21,6 +21,7 @@ from . import __version__
 from .errors import (
     ChainscopeError,
     ConfigError,
+    ControlError,
     InconclusiveError,
     ResourceLimitError,
 )
@@ -203,6 +204,12 @@ def validate_config(command: str, cfg: dict) -> dict:
     extra = set(sysspec) - {"name", "parameters"}
     if extra:
         raise ConfigError(f"unknown key {sorted(extra)[0]!r} in 'system'")
+    if not isinstance(sysspec.get("parameters", {}), dict):
+        raise ConfigError("key 'parameters' in 'system' must be an object")
+    if cfg.get("policy", "all") != "all" and not isinstance(cfg["policy"], list):
+        raise ConfigError("key 'policy' must be 'all' or a list of controls")
+    if cfg.get("mode", "usc") not in ("usc", "lsc"):
+        raise ConfigError("key 'mode' must be 'usc' or 'lsc'")
     if "delta_schedule" in cfg:
         _decreasing_schedule(cfg["delta_schedule"], "delta_schedule")
     for key in ("eps", "eps0", "v_eps", "tol"):
@@ -295,12 +302,15 @@ def run(command: str, cfg: dict):
 
 
 def _run_reach(cfg, system, grid):
-    res = orbit_reach(
-        system, _point(cfg, "x"), grid,
-        policy=cfg.get("policy", "all"),
-        max_steps=int(cfg.get("max_steps", 200_000)),
-        tol=float(cfg.get("tol", 1e-12)),
-    )
+    try:
+        res = orbit_reach(
+            system, _point(cfg, "x"), grid,
+            policy=cfg.get("policy", "all"),
+            max_steps=int(cfg.get("max_steps", 200_000)),
+            tol=float(cfg.get("tol", 1e-12)),
+        )
+    except ControlError as exc:
+        raise ConfigError(f"key 'policy': {exc}") from exc
     outcome = res.as_record()
     outcome["cells_file"] = "reach_cells.csv"
     work = {"map_steps": res.steps_used}

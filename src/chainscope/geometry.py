@@ -124,17 +124,6 @@ def _axis_index(x, lo, h, n, wrap):
     return np.clip(t, 0, n - 1)
 
 
-def _axis_touch_range(a, b, lo, h):
-    """Unclipped index range of closed cells [lo+i*h, lo+(i+1)*h] touching [a, b]."""
-    i0 = np.ceil((a - lo) / h).astype(np.int64) - 1
-    i0 = np.where(lo + (i0 + 1) * h < a, i0 + 1, i0)
-    i0 = np.where(lo + i0 * h >= a, i0 - 1, i0)
-    j0 = np.floor((b - lo) / h).astype(np.int64)
-    j0 = np.where(lo + j0 * h > b, j0 - 1, j0)
-    j0 = np.where(lo + (j0 + 1) * h <= b, j0 + 1, j0)
-    return i0, j0
-
-
 class Grid:
     """Uniform cell partition of a domain.
 
@@ -223,39 +212,17 @@ class Grid:
         return np.stack([lo, lo + self.spacing], axis=1)
 
     def axis_touch_range(self, a, b, dim=0):
-        """Unclipped cell index range along one axis touching [a, b]."""
-        return _axis_touch_range(
-            np.asarray(a, float), np.asarray(b, float),
-            self.domain.bounds[dim, 0], self.spacing[dim],
-        )
-
-    def cells_touching_ball(self, p, rho: float) -> np.ndarray:
-        """Flat indices of closed cells intersecting the closed ball B(p, rho)."""
-        p = self.domain.canon(p)
-        if self.domain.ndim == 1:
-            i0, j0 = self.axis_touch_range(p[0] - rho, p[0] + rho)
-            i0, j0 = int(i0), int(j0)
-            n = self.cells_per_dim[0]
-            if self.wrap:
-                if j0 - i0 + 1 >= n:
-                    return np.arange(n)
-                return np.unique(np.arange(i0, j0 + 1) % n)
-            return np.arange(max(i0, 0), min(j0, n - 1) + 1)
-        # 2-D box: candidate index window, then exact Euclidean box-distance test
-        ranges = []
-        for d in range(2):
-            i0, j0 = self.axis_touch_range(p[d] - rho, p[d] + rho, dim=d)
-            ranges.append(np.arange(max(int(i0), 0),
-                                    min(int(j0), self.cells_per_dim[d] - 1) + 1))
-        if any(r.size == 0 for r in ranges):
-            return np.array([], dtype=np.int64)
-        ii, jj = np.meshgrid(ranges[0], ranges[1], indexing="ij")
-        lo0 = self.domain.bounds[0, 0] + ii * self.spacing[0]
-        lo1 = self.domain.bounds[1, 0] + jj * self.spacing[1]
-        g0 = np.maximum(np.maximum(lo0 - p[0], p[0] - (lo0 + self.spacing[0])), 0.0)
-        g1 = np.maximum(np.maximum(lo1 - p[1], p[1] - (lo1 + self.spacing[1])), 0.0)
-        keep = g0 * g0 + g1 * g1 <= rho * rho
-        return np.ravel_multi_index((ii[keep], jj[keep]), self.shape)
+        """Unclipped index range of closed cells [lo+i*h, lo+(i+1)*h] along
+        one axis touching [a, b]."""
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        lo, h = self.domain.bounds[dim, 0], self.spacing[dim]
+        i0 = np.ceil((a - lo) / h).astype(np.int64) - 1
+        i0 = np.where(lo + (i0 + 1) * h < a, i0 + 1, i0)
+        i0 = np.where(lo + i0 * h >= a, i0 - 1, i0)
+        j0 = np.floor((b - lo) / h).astype(np.int64)
+        j0 = np.where(lo + j0 * h > b, j0 - 1, j0)
+        j0 = np.where(lo + (j0 + 1) * h <= b, j0 + 1, j0)
+        return i0, j0
 
     def cells_touching_box(self, lo, hi) -> np.ndarray:
         """Flat indices of closed cells intersecting the closed box [lo, hi]."""
@@ -265,11 +232,9 @@ class Grid:
         for d in range(self.domain.ndim):
             i0, j0 = self.axis_touch_range(lo[d], hi[d], dim=d)
             n = self.cells_per_dim[d]
-            if self.wrap:
-                if j0 - i0 + 1 >= n:
-                    ranges.append(np.arange(n))
-                else:
-                    ranges.append(np.unique(np.arange(int(i0), int(j0) + 1) % n))
+            if self.wrap:   # at most n cells, taken modulo n
+                ranges.append(np.unique(
+                    np.arange(int(i0), min(int(j0), int(i0) + n - 1) + 1) % n))
             else:
                 ranges.append(np.arange(max(int(i0), 0), min(int(j0), n - 1) + 1))
         if self.domain.ndim == 1:
@@ -282,20 +247,21 @@ class Grid:
 
         1-D: the max index offset k such that a cell k away still touches the
         eps-neighborhood ((k-1)*h <= eps).  2-D: a boolean structuring mask.
+        Offsets are capped at the grid's extent (n in 1-D, n + 1 per axis in
+        2-D) before any int conversion, so that every finite eps is safe.
         """
         if self.domain.ndim == 1:
-            h = self.spacing[0]
+            h, n = self.spacing[0], self.cells_per_dim[0]
+            if eps >= n * h:
+                return n
             k = int(np.floor(eps / h)) + 1
             if k * h <= eps:
                 k += 1
             if (k - 1) * h > eps:
                 k -= 1
-            return max(k, 1)
-        ks = []
-        for d in range(2):
-            h = self.spacing[d]
-            k = int(np.floor(eps / h)) + 2
-            ks.append(k)
+            return min(max(k, 1), n)
+        ks = [n + 1 if eps >= n * h else int(np.floor(eps / h)) + 2
+              for h, n in zip(self.spacing, self.cells_per_dim)]
         d0 = np.arange(-ks[0], ks[0] + 1)
         d1 = np.arange(-ks[1], ks[1] + 1)
         g0 = np.maximum(np.abs(d0) - 1, 0)[:, None] * self.spacing[0]
@@ -460,14 +426,10 @@ def fatten(cells: CellSet, eps: float) -> CellSet:
     if not cells:
         return cells.copy()
     if grid.domain.ndim == 1:
-        k = grid.fatten_offsets(eps)
-        idx = cells.indices()
-        starts, lengths = _index_ranges(grid, idx - k, idx + k)
-        mask = _range_union(grid.n_cells, starts, lengths)
+        k, idx = grid.fatten_offsets(eps), cells.indices()
+        mask = _range_union(grid.n_cells, *_index_ranges(grid, idx - k, idx + k))
         return CellSet(grid, mask.reshape(grid.shape))
-    struct = grid.fatten_offsets(eps)
-    mask = binary_dilation(cells.mask, structure=struct)
-    return CellSet(grid, mask)
+    return CellSet(grid, binary_dilation(cells.mask, grid.fatten_offsets(eps)))
 
 
 def nearest_distances(domain: Domain, points: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .reachability import (
     orbit_reach,
     robustness_check,
 )
-from .systems import System, image_cell
+from .systems import System, _image_union
 from .transition import build_graph, forward_reach, recurrent_cells
 
 # a component "shrinks" under one refinement when its measure drops below
@@ -134,10 +134,8 @@ def is_graph_invariant(sys: System, cells: CellSet, eps: float) -> bool:
     grid = cells.grid
     slack = sys.lipschitz * grid.cell_diameter / 2.0 + 2.0 * grid.cell_diameter
     hull = fatten(cells, eps + slack)
-    img = CellSet.empty(grid)
-    for c in cells.indices():
-        img = img | image_cell(sys, int(c), grid)
-    return img.issubset(hull)
+    img = _image_union(sys, grid, cells.indices())
+    return bool(np.all(hull.mask.reshape(-1)[img]))
 
 
 # --------------------------------------------------------------------------

@@ -164,10 +164,11 @@ def orbit_reach(
 
     ``policy`` is either "all" (for multivalued systems: breadth-first
     enumeration of the control tree with visited-cell pruning) or an explicit
-    control sequence.  Single trajectories converge when a point revisits an
-    earlier point within ``tol``, or when no new cell appears for ``stall``
-    consecutive steps.  ``max_steps`` bounds map applications (tree mode:
-    breadth-first sweeps); exhausting it yields converged=False.
+    sequence of controls from the control set (ControlError otherwise).
+    Single trajectories converge when a point revisits an earlier point
+    within ``tol``, or when no new cell appears for ``stall`` consecutive
+    steps.  ``max_steps`` bounds map applications (tree mode: breadth-first
+    sweeps); exhausting it yields converged=False.
     """
     p0 = sys.domain.canon(x)
     if not sys.domain.contains(p0):
@@ -182,7 +183,7 @@ def orbit_reach(
             raise ValueError("policy must be 'all' or a control sequence")
         seq = None
     else:
-        seq = list(policy)
+        seq = [sys._resolve_control(u) for u in policy]
     return _orbit_single(sys, p0, grid, seq, max_steps, tol, stall)
 
 

@@ -5,6 +5,9 @@ control set U (a singleton tuple for uncontrolled maps) and a global
 Lipschitz constant valid uniformly over domain x U.  Cell images are
 over-approximated by a Lipschitz ball around the image of the cell center,
 which is sound for every catalog map.
+
+One kernel, ``_cell_images``, gives these images, fattened by eps or not, for
+a batch of cells in 1-D and 2-D; everything that images cells goes through it.
 """
 from __future__ import annotations
 
@@ -13,12 +16,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ControlError, SelfMapError
-from .geometry import CellSet, Domain, Grid
+from .errors import ControlError, ResourceLimitError, SelfMapError
+from .geometry import CellSet, Domain, Grid, _index_ranges, _range_union
 
 # relative inflation of Lipschitz ball radii; absorbs float rounding in
 # products so that sampled points can never fall outside the computed ball
 _RADIUS_SAFETY = 1.0 + 1e-9
+# cap on the (image, cell) pairs a graph may materialize
+MAX_EXPLICIT_EDGES = 200_000_000
+# window cells per chunk of the 2-D cell-image kernel; bounds its scratch memory
+_IMAGE_CHUNK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,13 +83,69 @@ def image_cell(sys: System, cell: int, grid: Grid) -> CellSet:
     Union over u of the cells touching the closed ball of radius
     L * cell_radius around f(center, u).
     """
-    center = grid.cell_center(cell)
+    return CellSet(grid, _image_union(sys, grid, [cell]).reshape(grid.shape))
+
+
+def _image_union(sys: System, grid: Grid, cells) -> np.ndarray:
+    """Flat mask of the union of the images of ``cells`` over all controls."""
+    a, b = _cell_images(sys, grid, cells)
+    if grid.domain.ndim == 1:
+        return _range_union(grid.n_cells, a.ravel(), b.ravel())
+    return np.bincount(b, minlength=grid.n_cells) > 0
+
+
+def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
+    """Each source cell's image under each control: the cells touching the
+    closed ball of radius L * cell_radius around f(center, u) and, given
+    ``eps``, every cell touching that set's closed eps-neighborhood.
+
+    ``cells`` indexes the sources among all cells: flat indices or a slice.
+    Image j * m + i is that of control j and the i-th of the m sources.
+    1-D: (start, length) ranges of shape (n_controls, m), as made by
+    ``_index_ranges``.  2-D: (rows, cols), one entry per (image, cell) pair;
+    chunks of images are tested in windows as wide as the widest touch range
+    and dilated there by the mask ``Grid.fatten_offsets(eps)``.
+    """
     rho = sys.lipschitz * (grid.cell_diameter / 2.0) * _RADIUS_SAFETY
-    mask = np.zeros(grid.n_cells, dtype=bool)
-    for u in sys.controls:
-        p = sys.image_points(center[None, :], u)[0]
-        mask[grid.cells_touching_ball(p, rho)] = True
-    return CellSet(grid, mask.reshape(grid.shape))
+    centers = grid.centers()[cells]
+    if grid.domain.ndim == 1:   # result first: temporaries freed above it leave no RSS
+        out = np.empty((2, len(sys.controls), len(centers)), np.int64)
+    pts = np.stack([sys.image_points(centers, u) for u in sys.controls])
+    lo, hi = zip(*(grid.axis_touch_range(pts[..., d] - rho, pts[..., d] + rho, d)
+                   for d in range(grid.domain.ndim)))
+    if grid.domain.ndim == 1:
+        k = 0 if eps is None else grid.fatten_offsets(eps)
+        out[0], out[1] = _index_ranges(grid, lo[0] - k, hi[0] + k)
+        return out[0], out[1]
+    pts, lo, hi = pts.reshape(-1, 2), [x.ravel() for x in lo], [x.ravel() for x in hi]
+    struct = np.ones((1, 1), bool) if eps is None else grid.fatten_offsets(eps)
+    (n0, n1), (w0, w1) = grid.cells_per_dim, struct.shape
+    offs = [np.arange(np.max(hi[d] - lo[d], initial=0) + 1) for d in range(2)]
+    step = max(1, _IMAGE_CHUNK_CELLS // ((offs[0].size + w0) * (offs[1].size + w1)))
+    rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for s in range(0, pts.shape[0], step):
+        part = slice(s, s + step)
+        sq, inside = [], []
+        for d, n in enumerate(grid.cells_per_dim):
+            i, p, h = lo[d][part, None] + offs[d], pts[part, d, None], grid.spacing[d]
+            edge = grid.domain.bounds[d, 0] + i * h
+            gap = np.maximum(np.maximum(edge - p, p - (edge + h)), 0.0)
+            sq.append(gap * gap)
+            inside.append((i >= 0) & (i < n) & (i <= hi[d][part, None]))
+        hit = ((sq[0][:, :, None] + sq[1][:, None, :] <= rho * rho)
+               & inside[0][:, :, None] & inside[1][:, None, :])
+        # dilation: the mask, centred on every hit, ORed into a padded window
+        fat = np.zeros((len(hit), offs[0].size + w0 - 1, offs[1].size + w1 - 1), bool)
+        for a, b in zip(*np.nonzero(hit.any(axis=0))):
+            fat[:, a:a + w0, b:b + w1] |= hit[:, a, b, None, None] & struct
+        r, a, b = np.nonzero(fat)
+        i, j = lo[0][part][r] - w0 // 2 + a, lo[1][part][r] - w1 // 2 + b
+        on = (i >= 0) & (i < n0) & (j >= 0) & (j < n1)
+        rows.append(r[on] + s)
+        cols.append(i[on] * n1 + j[on])
+        if sum(x.size for x in rows) > MAX_EXPLICIT_EDGES:
+            raise ResourceLimitError("transition graph exceeds edge cap")
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def _check_self_map(sys: System, samples: int = 64):
@@ -175,15 +238,21 @@ def affine2d(m, b, bounds=((0.0, 1.0), (0.0, 1.0))) -> System:
     m = np.asarray(m, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2)
     dom = Domain.box(bounds)
+    (m00, m01), (m10, m11) = m
+
+    # elementwise, so that a point's image does not depend on its batch
+    # (a matrix product may round one row and several rows differently)
+    def f(pts, u):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.stack([m00 * x + m01 * y + b[0], m10 * x + m11 * y + b[1]],
+                        axis=1)
+
     lo, hi = dom.bounds[:, 0], dom.bounds[:, 1]
     corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]],
                         [hi[0], lo[1]], [hi[0], hi[1]]])
-    img = corners @ m.T + b[None, :]
+    img = f(corners, None)
     if np.any(img < lo[None, :]) or np.any(img > hi[None, :]):
         raise SelfMapError("affine2d: image of the domain leaves the domain")
-
-    def f(pts, u):
-        return pts @ m.T + b[None, :]
 
     lip = float(np.linalg.norm(m, 2))
     return System("affine2d", dom, {"m": m.tolist(), "b": b.tolist()},

@@ -5,11 +5,13 @@ granularity: cell c has an edge to every cell touching the eps-fattening of
 the rigorous image of c.  Edges therefore over-approximate the perturbed
 map restricted to the cell, for every point of the cell and every control.
 
-In one dimension the successor set of a (cell, control) pair is a contiguous
-index range, taken modulo n, so the graph is stored as per-control
-(start, length) arrays and set-valued steps run as difference-array sweeps in
-O(n).  Two-dimensional
-graphs use an explicit sparse boolean matrix.
+Every cell's fattened image under every control comes from one batched
+kernel, ``systems._cell_images``.  In one dimension the successor set of a
+(cell, control) pair is a contiguous index range, taken modulo n, so the
+graph is stored as per-control (start, length) arrays and set-valued steps run
+as difference-array sweeps in O(n).  Two-dimensional graphs use an explicit
+sparse boolean matrix, built from the kernel's (source, cell) pairs, which it
+makes a chunk of sources at a time in windows around the image balls.
 """
 from __future__ import annotations
 
@@ -18,10 +20,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptySetError, ResolutionError, ResourceLimitError
-from .geometry import CellSet, Grid, _index_ranges, _range_union
-from .systems import System, _RADIUS_SAFETY
-
-MAX_EXPLICIT_EDGES = 200_000_000
+from .geometry import CellSet, Grid, _range_union
+from .systems import MAX_EXPLICIT_EDGES, System, _cell_images
 
 
 class _RangeGraph:
@@ -67,18 +67,20 @@ class _RangeGraph:
         if self.edge_count() > MAX_EXPLICIT_EDGES:
             raise ResourceLimitError("graph too dense to materialize explicitly")
         length = self.length.ravel()
-        total = int(length.sum())
         rows = np.repeat(np.tile(np.arange(self.n), self.start.shape[0]), length)
         # entry i of the range that begins at flat position p is start + (i - p)
-        cols = np.arange(total, dtype=np.int64)
+        cols = np.arange(int(length.sum()), dtype=np.int64)
         cols += np.repeat(self.start.ravel() - (np.cumsum(length) - length), length)
         cols %= self.n
-        m = sp.coo_matrix(
-            (np.ones(total, dtype=np.uint8), (rows, cols)),
-            shape=(self.n, self.n),
-        ).tocsr()
-        m.data[:] = 1
-        return m
+        return _csr(self.n, rows, cols)
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """n x n 0/1 adjacency with an edge at each (row, col); repeats merge."""
+    m = sp.coo_matrix((np.ones(rows.size, dtype=np.uint8), (rows, cols)),
+                      shape=(n, n)).tocsr()
+    m.data[:] = 1
+    return m
 
 
 class _CsrGraph:
@@ -159,50 +161,12 @@ def build_graph(sys: System, grid: Grid, eps: float) -> TransitionGraph:
             f"eps={eps:g} below resolution coupling 4*cell_diameter="
             f"{4.0 * grid.cell_diameter:g}"
         )
-    centers = grid.centers()
-    rho = sys.lipschitz * (grid.cell_diameter / 2.0) * _RADIUS_SAFETY
-
+    n = grid.n_cells
+    a, b = _cell_images(sys, grid, slice(None), eps)
     if grid.domain.ndim == 1:
-        k = grid.fatten_offsets(eps)
-        shape = (len(sys.controls), grid.n_cells)
-        start = np.empty(shape, dtype=np.int64)
-        length = np.empty(shape, dtype=np.int64)
-        for j, u in enumerate(sys.controls):
-            pts = sys.image_points(centers, u)[:, 0]
-            i0, i1 = grid.axis_touch_range(pts - rho, pts + rho)
-            start[j], length[j] = _index_ranges(grid, i0 - k, i1 + k)
-        return TransitionGraph(sys, grid, eps,
-                               _RangeGraph(grid.n_cells, start, length))
-
-    struct = grid.fatten_offsets(eps)
-    pad0, pad1 = struct.shape[0] // 2, struct.shape[1] // 2
-    rows, cols = [], []
-    from scipy.ndimage import binary_dilation
-
-    shape = grid.shape
-    for c in range(grid.n_cells):
-        hit = np.zeros(shape, dtype=bool)
-        for u in sys.controls:
-            p = sys.image_points(centers[c][None, :], u)[0]
-            hit.reshape(-1)[grid.cells_touching_ball(p, rho)] = True
-        # local window dilation; clipping at the box boundary is exact
-        i_idx, j_idx = np.nonzero(hit)
-        w0a, w0b = max(i_idx.min() - pad0, 0), min(i_idx.max() + pad0 + 1, shape[0])
-        w1a, w1b = max(j_idx.min() - pad1, 0), min(j_idx.max() + pad1 + 1, shape[1])
-        window = binary_dilation(hit[w0a:w0b, w1a:w1b], structure=struct)
-        wi, wj = np.nonzero(window)
-        flat = np.ravel_multi_index((wi + w0a, wj + w1a), shape)
-        rows.append(np.full(flat.size, c, dtype=np.int64))
-        cols.append(flat)
-        if sum(r.size for r in rows) > MAX_EXPLICIT_EDGES:
-            raise ResourceLimitError("transition graph exceeds edge cap")
-    m = sp.coo_matrix(
-        (np.ones(sum(r.size for r in rows), dtype=np.uint8),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_cells, grid.n_cells),
-    ).tocsr()
-    m.data[:] = 1
-    return TransitionGraph(sys, grid, eps, _CsrGraph(m))
+        return TransitionGraph(sys, grid, eps, _RangeGraph(n, a, b))
+    a %= n   # image j * n + c is source c's under control j
+    return TransitionGraph(sys, grid, eps, _CsrGraph(_csr(n, a, b)))
 
 
 def _closure(step, seed: np.ndarray, depths: np.ndarray | None = None) -> np.ndarray:
@@ -292,15 +256,10 @@ def edge_control(g: TransitionGraph, src: int, dst: int):
     impl = g._impl
     if isinstance(impl, _RangeGraph):
         hit = (dst - impl.start[:, src]) % impl.n < impl.length[:, src]
-        for u, ok in zip(g.system.controls, hit):
-            if ok:
-                return u
     else:
-        from .systems import image_cell
-        from .geometry import fatten
-        for u in g.system.controls:
-            one = System(g.system.name, g.system.domain, g.system.params,
-                         (u,), g.system.lipschitz, g.system.map_fn)
-            if dst in fatten(image_cell(one, src, g.grid), g.eps):
-                return u
+        rows, cols = _cell_images(g.system, g.grid, [src], g.eps)
+        hit = np.isin(np.arange(len(g.system.controls)), rows[cols == dst])
+    for u, ok in zip(g.system.controls, hit):
+        if ok:
+            return u
     raise ValueError(f"no edge {src} -> {dst}")

@@ -170,8 +170,20 @@ _SQUARE = '"system": {"name": "square"}, "grid": {"cells_per_dim": [64]}'
                '"seed": -3}' % _SQUARE, "seed"),
     ("minimal", '{%s, "eps0": 0.1, "levels": true}' % _SQUARE, "levels"),
     ("robust", '{%s, "x": 0.5, "eps": 0.1, "eps": 0.2}' % _SQUARE, "eps"),
+    ("reach", '{%s, "x": 0.5, "policy": "abc"}' % _SQUARE, "policy"),
+    ("reach", '{%s, "x": 0.5, "policy": 5}' % _SQUARE, "policy"),
+    ("reach", '{"system": {"name": "drift_control", "parameters": {"a": 0.5}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3, "policy": [0.7]}',
+     "policy"),
+    ("verify", '{%s, "property": "semicontinuity", "x": 0.5, "eps": 0.1, '
+               '"mode": "xyz"}' % _SQUARE, "mode"),
+    ("robust", '{"system": {"name": "square", "parameters": "zz"}, '
+               '"grid": {"cells_per_dim": [64]}, "x": 0.5, "eps": 0.1}',
+     "parameters"),
 ], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
-        "cells-string", "seed-negative", "levels-bool", "eps-duplicate"])
+        "cells-string", "seed-negative", "levels-bool", "eps-duplicate",
+        "policy-string", "policy-number", "policy-unknown-control",
+        "mode-unknown", "parameters-string"])
 def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     path = tmp_path / "probe.json"
     path.write_text(text)
@@ -195,6 +207,23 @@ def test_grid_cap_checked_at_every_level(tmp_path, monkeypatch, capsys,
     out = str(tmp_path / "rep.json")
     assert run_cli([command, "--config", path, "--out", out, "--quiet"]) == 1
     assert "CHAINSCOPE_MAX_CELLS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("robust", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+                "x": 0.5, "eps": 1e300}),
+    ("chainreach", {"system": {"name": "affine2d",
+                               "parameters": {"m": [[0.5, 0.1], [0.0, 0.6]],
+                                              "b": [0.2, 0.15]}},
+                    "grid": {"cells_per_dim": [16, 16]}, "eps0": 1e300,
+                    "levels": 2, "start": [[0.9, 0.9]]}),
+], ids=["robust-square", "chainreach-affine2d"])
+def test_huge_finite_eps_runs(tmp_path, command, cfg):
+    path = write_cfg(tmp_path, "huge.json", cfg)
+    out = tmp_path / "rep.json"
+    assert run_cli([command, "--config", path, "--out", str(out),
+                    "--quiet"]) == 0
+    assert out.read_text().startswith("{")
 
 
 def test_grid_cap_env_must_be_integer(tmp_path, monkeypatch, capsys):

@@ -162,6 +162,25 @@ def test_fatten_composition_over_approximates():
         assert fatten(s, 0.05 + 0.03).issubset(fatten(fatten(s, 0.05), 0.03))
 
 
+@pytest.mark.parametrize("grid,eps", [
+    (Grid(Domain.box([[0.0, 1.0]]), 40), 1e300),
+    (Grid(Domain.circle(), 40), 1e300),
+    (Grid(Domain.box([[0, 1], [0, 2]]), (6, 9)), 1e300),
+    (Grid(Domain.box([[0.0, 1.0]]), 2 ** 20), 1e308),
+    (Grid(Domain.circle(), 2 ** 20), 1e308),
+], ids=["box", "circle", "box-2d", "box-2^20", "circle-2^20"])
+def test_fatten_huge_eps_gives_full_grid(grid, eps):
+    one = CellSet.from_indices(grid, [grid.n_cells // 3])
+    assert fatten(one, eps) == CellSet.full(grid)
+
+
+def test_fatten_offsets_capped_at_grid_extent():
+    assert Grid(Domain.box([[0.0, 1.0]]), 40).fatten_offsets(1e300) == 40
+    assert Grid(Domain.box([[0.0, 1.0]]), 40).fatten_offsets(0.1) == 5
+    struct = Grid(Domain.box([[0, 1], [0, 2]]), (6, 9)).fatten_offsets(1e300)
+    assert struct.shape == (15, 21) and struct.all()
+
+
 def test_fatten_circle_wraps():
     g = Grid(CIRCLE, 100)
     s = CellSet.from_points(g, [[0.0]])

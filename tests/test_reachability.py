@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainscope.errors import InconclusiveError, ResourceLimitError
+from chainscope.errors import ControlError, InconclusiveError, ResourceLimitError
 from chainscope.geometry import CellSet, Domain, Grid, fatten, hausdorff
 from chainscope.reachability import (
     chain_reach,
@@ -60,6 +60,14 @@ def test_orbit_control_sequence():
     r = orbit_reach(sys, 0.4, g, policy=[0.1, -0.1, 0.0])
     assert r.converged and r.steps_used == 3
     assert g.cell_of(0.3) in r.cells          # 0.5*0.4 + 0.1
+
+
+def test_orbit_control_outside_control_set_raises():
+    g = Grid(Domain.box([[-1, 1]]), 50)
+    with pytest.raises(ControlError):
+        orbit_reach(drift_control(0.5), 0.4, g, policy=[0.1, 0.7])
+    with pytest.raises(ControlError):
+        orbit_reach(drift_control(0.5), 0.4, g, policy=[None])
 
 
 def test_orbit_unconverged_flag():

@@ -73,6 +73,21 @@ def test_graph_totality():
         assert all(gr.successors(c).size >= 1 for c in range(g.n_cells))
 
 
+@pytest.mark.parametrize("sys,cells,eps", [
+    (square(), 40, 1e300),
+    (rotation(0.3), 40, 1e300),
+    (drift_control(0.5), 40, 1e300),
+    (affine2d([[0.5, 0.1], [0.0, 0.6]], [0.2, 0.15]), (6, 7), 1e300),
+    (square(), 2 ** 20, 1e308),
+], ids=["square", "rotation", "drift_control", "affine2d", "square-2^20"])
+def test_huge_eps_graph_is_complete(sys, cells, eps):
+    g = Grid(sys.domain, cells)
+    gr = build_graph(sys, g, eps)
+    assert gr.edge_count() >= g.n_cells ** 2
+    for c in (0, g.n_cells // 2, g.n_cells - 1):
+        assert np.array_equal(gr.successors(c), np.arange(g.n_cells))
+
+
 def test_successor_lists_sorted_unique():
     g = Grid(Domain.box([[-1, 1]]), 64)
     gr = build_graph(drift_control(0.5), g, 0.2)
