@@ -63,14 +63,19 @@ COMMANDS = tuple(sorted(COMMAND_KEYS))
 # --------------------------------------------------------------------------
 
 def format_float(x: float) -> str:
-    """Fixed 12-significant-digit rendering (0.1 + 0.2 -> 0.300000000000)."""
+    """Fixed 12-significant-digit rendering (0.1 + 0.2 -> 0.300000000000).
+
+    Magnitudes from 1e11 up have no fractional digit left; they end in ".0"
+    (1e12 -> 1000000000000.0) so that the report stays valid JSON.
+    """
     if x == 0.0:
         return "0.000000000000"
     if not np.isfinite(x):
         raise ValueError("reports must not contain non-finite floats")
-    return np.format_float_positional(
+    out = np.format_float_positional(
         float(x), precision=12, unique=False, fractional=False, trim="k"
     )
+    return out + "0" if out.endswith(".") else out
 
 
 def canonical_dumps(obj, indent: int = 0) -> str:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 from scipy.spatial import cKDTree
 
 from .errors import DomainError, EmptySetError, GridMismatchError
@@ -82,11 +81,15 @@ class Domain:
         p = as_point(x)
         if p.shape[0] != self.ndim:
             return False
+        return bool(self.inside(p))
+
+    def inside(self, points) -> np.ndarray:
+        """Membership of each point along the last axis of ``points``:
+        finite on the circle, within the bounds on a box."""
+        p = np.asarray(points, dtype=float)
         if self.kind == "circle":
-            return bool(np.all(np.isfinite(p)))
-        return bool(
-            np.all(p >= self.bounds[:, 0]) and np.all(p <= self.bounds[:, 1])
-        )
+            return np.all(np.isfinite(p), axis=-1)
+        return np.all((p >= self.bounds[:, 0]) & (p <= self.bounds[:, 1]), axis=-1)
 
     def distance(self, x, y) -> float:
         """Metric: Euclidean on boxes, wraparound |x-y| on the circle."""
@@ -429,7 +432,32 @@ def fatten(cells: CellSet, eps: float) -> CellSet:
         k, idx = grid.fatten_offsets(eps), cells.indices()
         mask = _range_union(grid.n_cells, *_index_ranges(grid, idx - k, idx + k))
         return CellSet(grid, mask.reshape(grid.shape))
-    return CellSet(grid, binary_dilation(cells.mask, grid.fatten_offsets(eps)))
+    return CellSet(grid, _dilate(cells.mask, grid.fatten_offsets(eps)))
+
+
+def _dilate(mask: np.ndarray, struct: np.ndarray) -> np.ndarray:
+    """Binary dilation of a 2-D mask by a symmetric structuring mask whose
+    rows are contiguous intervals centred on its middle column (the masks of
+    ``Grid.fatten_offsets``), outside the grid counting as empty.
+
+    Row offset by row offset: the rows of the mask are dilated by that row's
+    half-width with prefix sums, then ORed in shifted by the offset; the cost
+    is cells times rows of the structuring mask, not cells times its size.
+    """
+    (n0, n1), (w0, _) = mask.shape, struct.shape
+    counts = np.zeros((n0, n1 + 1), np.int64)
+    np.cumsum(mask, axis=1, out=counts[:, 1:])
+    j = np.arange(n1)
+    out = np.zeros_like(mask)
+    for d0 in range(min(w0 // 2, n0 - 1) + 1):
+        width = int(np.count_nonzero(struct[w0 // 2 + d0]))
+        if not width:
+            continue
+        r = width // 2
+        row = counts[:, np.minimum(j + r + 1, n1)] > counts[:, np.maximum(j - r, 0)]
+        out[d0:] |= row[:n0 - d0]
+        out[:n0 - d0] |= row[d0:]
+    return out
 
 
 def nearest_distances(domain: Domain, points: np.ndarray, ref: np.ndarray) -> np.ndarray:

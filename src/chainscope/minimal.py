@@ -8,16 +8,20 @@ recurrence fragments that appear at component margins.  A merged component
 counts as evidence of a single minimal set when it either shrinks under
 refinement or is covered by a sampled member orbit; otherwise the census is
 reported unbounded-at-resolution, never as a false finite count.
+
+Sampled orbits (basin probes, stability probes, omega limits, period
+searches) run as lanes of the batched orbit engine of ``orbits``.
 """
 from __future__ import annotations
 
-
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PreconditionError
 from .geometry import CellSet, Grid, fatten, grid_for
+from .orbits import STALL, advance, reach_lanes, reaches, run, trajectory, within
 from .reachability import (
     RobustnessCertificate,
     _refine_capped,
@@ -170,27 +174,24 @@ def classify_component(
     ]
     # a settled point is a better witness for attracting components, but only
     # if burn-in keeps it associated with this component
-    settle = candidates[2].copy()
-    for _ in range(burn_in):
-        settle = sys.image_points(settle[None, :], u)[0]
+    settle = advance(sys, candidates[2][None, :], u, burn_in)[0]
     if fatten(comp, 4.0 * grid.cell_diameter).mask.reshape(-1)[grid.cell_of(settle)]:
         candidates.append(settle)
 
-    best: tuple[int, np.ndarray] | None = None
-    for cand in candidates:
-        pt = cand.copy()
-        for q in range(1, q_max + 1):
-            pt = sys.image_points(pt[None, :], u)[0]
-            if dom.distance(pt, cand) <= tol:
-                if best is None or q < best[0]:
-                    best = (q, cand)
-                break
+    # each candidate's first return within tol, the candidates as lanes;
+    # steps past a candidate's return are discarded
+    cands = np.array(candidates)
+    with np.errstate(all="ignore"):
+        path = trajectory(sys, cands, q_max, u).reshape(-1, dom.ndim)
+        back = within(dom, path, np.tile(cands, (q_max, 1)), tol).reshape(q_max, -1)
+    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, q_max + 1)
     control_flag = u if sys.multivalued else None
-    if best is None:
+    if period.min() > q_max:
         rep = candidates[0]
         return Classification("other", None, control_flag,
                               tuple(float(v) for v in rep))
-    q, rep = best
+    best = int(period.argmin())
+    q, rep = int(period[best]), candidates[best]
     kind = "fixed-point" if q == 1 else "periodic"
     return Classification(kind, q if q > 1 else None, control_flag,
                           tuple(float(v) for v in rep))
@@ -372,9 +373,9 @@ def lyapunov_stability(
         )
     probe_cells = fatten(a_set, min(w_schedule)).indices()
     stride = max(1, probe_cells.size // 64)
-    for c in probe_cells[::stride]:
-        start = grid.cell_center(int(c))
-        orb = orbit_reach(sys, start, grid, max_steps=orbit_max_steps)
+    starts = grid.centers()[probe_cells[::stride]]
+    # read in probe order, the orbits run block by block: the first witness wins
+    for start, orb in zip(starts, reaches(sys, starts, grid, orbit_max_steps)):
         if not orb.converged:
             continue
         if not orb.cells.issubset(v_set):
@@ -393,19 +394,33 @@ def lyapunov_stability(
 # weak basin
 # --------------------------------------------------------------------------
 
-def _cell_probe_points(grid: Grid, cell: int) -> list[np.ndarray]:
-    box = grid.cell_box(cell)
+def _probe_points(grid: Grid) -> np.ndarray:
+    """(n_cells, 1 + 2^d, d): each cell's center, then the corners of its
+    closed box clipped into the domain, in canonical form."""
     dom = grid.domain
-    pts = [grid.cell_center(cell)]
-    if dom.ndim == 1:
-        corners = [np.array([box[0, 0]]), np.array([box[0, 1]])]
-    else:
-        corners = [
-            np.array([box[0, a], box[1, b]]) for a in (0, 1) for b in (0, 1)
-        ]
-    for c in corners:
-        pts.append(dom.canon(np.clip(c, dom.bounds[:, 0], dom.bounds[:, 1])))
-    return pts
+    lo = dom.bounds[:, 0] + np.stack(np.unravel_index(
+        np.arange(grid.n_cells), grid.shape), axis=1) * grid.spacing
+    box = (lo, lo + grid.spacing)
+    corners = [
+        np.clip(np.stack([box[c][:, a] for a, c in enumerate(pick)], axis=1),
+                dom.bounds[:, 0], dom.bounds[:, 1])
+        for pick in itertools.product((0, 1), repeat=dom.ndim)
+    ]
+    pts = np.stack([grid.centers()] + corners, axis=1)
+    return pts % 1.0 if dom.kind == "circle" else pts
+
+
+def _first_occurrences(rows: np.ndarray):
+    """Indices of the first occurrence of each distinct row, ascending, and
+    for each row the position of its first occurrence among them."""
+    order = np.lexsort(rows.T[::-1])   # stable: a group starts at its first occurrence
+    srt = rows[order]
+    start = np.r_[True, np.any(srt[1:] != srt[:-1], axis=1)]
+    first = order[start]
+    rank = np.argsort(np.argsort(first))
+    which = np.empty(len(rows), np.int64)
+    which[order] = rank[np.cumsum(start) - 1]
+    return np.sort(first), which
 
 
 def weak_basin(
@@ -433,22 +448,35 @@ def weak_basin(
     for k in range(levels):
         grid_k = _refine_capped(grid0, k, cap)
         a_k = a_set.refine(2 ** k) if k else a_set.copy()
-        eps_k = 4.0 * grid_k.cell_diameter
-        tolerant = fatten(a_k, eps_k)
-        t_mask = tolerant.mask.reshape(-1)
-        mask = np.zeros(grid_k.n_cells, dtype=bool)
-        cache: dict[tuple, bool] = {}   # probe points are shared by neighbors
-
-        def probe_hits(p) -> bool:
-            key = tuple(np.round(p, 12))
-            if key not in cache:
-                orb = orbit_reach(sys, p, grid_k, max_steps=orbit_max_steps)
-                cache[key] = bool(np.any(t_mask[orb.cells.indices()]))
-            return cache[key]
-
-        for c in range(grid_k.n_cells):
-            mask[c] = all(probe_hits(p) for p in _cell_probe_points(grid_k, c))
-        results.append(CellSet(grid_k, mask.reshape(grid_k.shape)))
+        t_mask = fatten(a_k, 4.0 * grid_k.cell_diameter).mask.reshape(-1)
+        probes = _probe_points(grid_k)
+        n_probe = probes.shape[1]
+        flat = probes.reshape(-1, probes.shape[-1])
+        first, lane = _first_occurrences(flat)   # one orbit per distinct point
+        hit, outside = [], {}
+        for lanes in reach_lanes(sys, flat[first], grid_k, orbit_max_steps):
+            hit.append(lanes.hits(t_mask))   # the block's orbits are freed
+            outside.update((lanes.b0 + b, p) for b, p in lanes.outside.items())
+        hit = np.concatenate(hit)
+        # a cell reads its probes in order up to the first miss, and points
+        # that round alike to 12 digits share the orbit of the first one read;
+        # the corner of two cells, computed from each, may differ in its last bit
+        key = _first_occurrences(np.round(flat, 12))[1]
+        mixed = np.bincount(np.unique(key * first.size + lane) // first.size)[key] > 1
+        shared: dict = {}
+        for c in np.unique(np.flatnonzero(mixed) // n_probe):
+            for i in range(c * n_probe, (c + 1) * n_probe):
+                if mixed[i]:
+                    lane[i] = shared.setdefault(key[i], lane[i])
+                if not hit[lane[i]]:
+                    break
+        hits = hit[lane].reshape(-1, n_probe)
+        read = np.ones_like(hits)
+        read[:, 1:] = np.logical_and.accumulate(hits, axis=1)[:, :-1]
+        failed = read.ravel() & np.isin(lane, list(outside))
+        if failed.any():   # the first orbit read that left the domain raises
+            grid_k.cell_of(outside[int(lane[failed.argmax()])])
+        results.append(CellSet(grid_k, hits.all(axis=1).reshape(grid_k.shape)))
     finest = results[-1]
     for k, r in enumerate(results[:-1]):
         finest = finest & r.refine(2 ** (levels - 1 - k))
@@ -492,25 +520,10 @@ def omega_limit(
         raise PreconditionError("omega_limit needs a pinned control for "
                                 "multivalued systems")
     u = control if control is not None else sys.controls[0]
-    pt = sys.domain.canon(x)
-    for _ in range(burn_in):
-        pt = sys.image_points(pt[None, :], u)[0]
-    mask = np.zeros(grid.n_cells, dtype=bool)
-    mask[grid.cell_of(pt)] = True
-    last_new = 0
-    stabilized = False
-    step = 0
-    for step in range(1, max_steps + 1):
-        pt = sys.image_points(pt[None, :], u)[0]
-        c = grid.cell_of(pt)
-        if not mask[c]:
-            mask[c] = True
-            last_new = step
-        elif step - last_new >= window:
-            stabilized = True
-            break
-    return OmegaResult(CellSet(grid, mask.reshape(grid.shape)), stabilized,
-                       burn_in + step)
+    pt = advance(sys, sys.domain.canon(x)[None, :], u, burn_in)
+    lanes = next(run(sys, pt, grid, max_steps, 0.0, window, u=u))   # no revisit check
+    return OmegaResult(lanes.cellset(0), bool(lanes.reason[0] == STALL),
+                       burn_in + int(lanes.stop[0]))
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,14 @@ closures.  Robustness verdicts compare the two and are always qualified
 "at resolution": a certificate records either a perturbation radius whose
 graph reach stays inside the fattened sampled reach, or a replayable
 perturbed trajectory that provably escapes it.
+
+Every sampled orbit runs in the batched orbit engine of ``orbits``.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .geometry import (
     hausdorff,
     nearest_distances,
 )
+from .orbits import ReachResult, reaches
 from .systems import System
 from .transition import (
     build_graph,
@@ -90,67 +93,6 @@ def default_delta_schedule(eps: float, floor: float) -> list[float]:
 # sampled orbit reach
 # --------------------------------------------------------------------------
 
-@dataclass
-class ReachResult:
-    """Cell cover of finitely many true trajectory points (under-approximation)."""
-
-    mode: str                 # "orbit-sampled"
-    cells: CellSet
-    steps_used: int
-    converged: bool
-    points: np.ndarray = field(repr=False)   # (m, d) distinct visited points
-
-    def as_record(self) -> dict:
-        return {
-            "mode": self.mode,
-            "cell_count": len(self.cells),
-            "steps_used": self.steps_used,
-            "converged": self.converged,
-            "point_count": int(self.points.shape[0]),
-        }
-
-
-class _PointMemory:
-    """Tolerance-radius membership test over visited points (hash grid)."""
-
-    def __init__(self, domain: Domain, tol: float):
-        self.domain = domain
-        self.tol = tol
-        self.buckets: dict = {}
-        self.wrap_mod = int(round(1.0 / tol)) if domain.kind == "circle" else None
-
-    def _key(self, p: np.ndarray):
-        k = np.floor(p / self.tol).astype(np.int64)
-        if self.wrap_mod is not None:
-            k %= self.wrap_mod
-        return tuple(int(v) for v in k)
-
-    def seen(self, p: np.ndarray) -> bool:
-        if self.tol <= 0:
-            return False
-        base = self._key(p)
-        d = p.shape[0]
-        offs = [(-1, 0, 1)] * d
-        from itertools import product
-
-        for delta in product(*offs):
-            key = tuple(
-                (base[i] + delta[i]) % self.wrap_mod
-                if self.wrap_mod is not None
-                else base[i] + delta[i]
-                for i in range(d)
-            )
-            for q in self.buckets.get(key, ()):
-                if self.domain.distance(p, q) <= self.tol:
-                    return True
-        return False
-
-    def add(self, p: np.ndarray):
-        if self.tol <= 0:
-            return
-        self.buckets.setdefault(self._key(p), []).append(p.copy())
-
-
 def orbit_reach(
     sys: System,
     x,
@@ -173,91 +115,13 @@ def orbit_reach(
     p0 = sys.domain.canon(x)
     if not sys.domain.contains(p0):
         raise DomainError(f"orbit start {p0!r} outside domain")
-    if stall is None:
-        stall = min(max(8 * max(grid.cells_per_dim), 256), 50_000)
-
-    if sys.multivalued and isinstance(policy, str) and policy == "all":
-        return _orbit_tree(sys, p0, grid, max_steps)
+    seq = None
     if isinstance(policy, str):
         if policy != "all":
             raise ValueError("policy must be 'all' or a control sequence")
-        seq = None
     else:
         seq = [sys._resolve_control(u) for u in policy]
-    return _orbit_single(sys, p0, grid, seq, max_steps, tol, stall)
-
-
-def _orbit_single(sys, p0, grid, seq, max_steps, tol, stall):
-    mask = np.zeros(grid.n_cells, dtype=bool)
-    mask[grid.cell_of(p0)] = True
-    memory = _PointMemory(sys.domain, tol)
-    memory.add(p0)
-    points = [p0.copy()]
-    pt = p0
-    converged = False
-    steps_used = 0
-    last_new = 0
-    n_steps = len(seq) if seq is not None else max_steps
-    for step in range(1, min(n_steps, max_steps) + 1):
-        u = seq[step - 1] if seq is not None else sys.controls[0]
-        y = sys.image_points(pt[None, :], u)[0]
-        if memory.seen(y):
-            converged = True
-            steps_used = step
-            break
-        memory.add(y)
-        points.append(y.copy())
-        c = grid.cell_of(y)
-        if not mask[c]:
-            mask[c] = True
-            last_new = step
-        elif step - last_new >= stall:
-            converged = True
-            steps_used = last_new
-            break
-        pt = y
-    else:
-        steps_used = min(n_steps, max_steps)
-        converged = seq is not None and n_steps <= max_steps
-    return ReachResult(
-        "orbit-sampled",
-        CellSet(grid, mask.reshape(grid.shape)),
-        steps_used,
-        converged,
-        np.array(points),
-    )
-
-
-def _orbit_tree(sys, p0, grid, max_sweeps):
-    mask = np.zeros(grid.n_cells, dtype=bool)
-    mask[grid.cell_of(p0)] = True
-    frontier = [p0.copy()]
-    points = [p0.copy()]
-    sweeps = 0
-    converged = False
-    while frontier:
-        if sweeps >= max_sweeps:
-            break
-        sweeps += 1
-        nxt = []
-        for pt in frontier:
-            for u in sys.controls:
-                y = sys.image_points(pt[None, :], u)[0]
-                c = grid.cell_of(y)
-                if not mask[c]:
-                    mask[c] = True
-                    nxt.append(y)
-                    points.append(y.copy())
-        frontier = nxt
-    else:
-        converged = True
-    return ReachResult(
-        "orbit-sampled",
-        CellSet(grid, mask.reshape(grid.shape)),
-        sweeps,
-        converged,
-        np.array(points),
-    )
+    return next(reaches(sys, p0[None, :], grid, max_steps, tol, stall, seq))
 
 
 # --------------------------------------------------------------------------
@@ -741,8 +605,9 @@ def semicontinuity_probe(
     violator = None
     for delta in delta_schedule:
         ok = True
-        for y in _ball_samples(sys.domain, x, delta, n_samples):
-            r = orbit_reach(sys, y, grid, max_steps=max_steps)
+        ys = _ball_samples(sys.domain, x, delta, n_samples).reshape(-1, sys.domain.ndim)
+        # the samples' orbits run block by block as they are read
+        for y, r in zip(ys, reaches(sys, ys, grid, max_steps)):
             if not r.converged:
                 raise InconclusiveError(f"reach at probe point {y!r} did not converge")
             if mode == "usc":

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import binary_dilation
 
 from chainscope.errors import DomainError, EmptySetError, GridMismatchError
 from chainscope.geometry import (
@@ -172,6 +173,20 @@ def test_fatten_composition_over_approximates():
 def test_fatten_huge_eps_gives_full_grid(grid, eps):
     one = CellSet.from_indices(grid, [grid.n_cells // 3])
     assert fatten(one, eps) == CellSet.full(grid)
+
+
+@pytest.mark.parametrize("shape", [(23, 17), (96, 96)])
+def test_fatten_2d_matches_binary_dilation(shape):
+    """2-D fatten dilates row offset by row offset; scipy's binary_dilation
+    by the same structuring mask is the oracle."""
+    rng = np.random.default_rng(3)
+    g = Grid(Domain.box([[0, 1], [0, 2]]), shape)
+    for eps in (0.04, 0.11, 1.0, 1e300):
+        for density in (0.002, 0.05, 0.5):
+            mask = rng.random(shape) < density
+            mask.flat[rng.integers(g.n_cells)] = True
+            want = binary_dilation(mask, g.fatten_offsets(eps))
+            assert np.array_equal(fatten(CellSet(g, mask), eps).mask, want)
 
 
 def test_fatten_offsets_capped_at_grid_extent():
