@@ -306,7 +306,8 @@ class CellSet:
 
     @classmethod
     def from_indices(cls, grid: Grid, indices) -> "CellSet":
-        idx = np.asarray(list(indices), dtype=np.int64)
+        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices),
+                         dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= grid.n_cells):
             raise ValueError("cell index out of range for grid")
         mask = np.zeros(grid.n_cells, dtype=bool)

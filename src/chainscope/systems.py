@@ -22,7 +22,8 @@ from .geometry import CellSet, Domain, Grid, _index_ranges, _range_union
 # relative inflation of Lipschitz ball radii; absorbs float rounding in
 # products so that sampled points can never fall outside the computed ball
 _RADIUS_SAFETY = 1.0 + 1e-9
-# cap on the (image, cell) pairs a graph may materialize
+# cap on the (image, cell) pairs a graph may materialize; read only by
+# ``_check_edge_cap``, at call time, so every path sees the current value
 MAX_EXPLICIT_EDGES = 200_000_000
 # window cells per chunk of the 2-D cell-image kernel; bounds its scratch memory
 _IMAGE_CHUNK_CELLS = 1 << 13
@@ -143,9 +144,19 @@ def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
         on = (i >= 0) & (i < n0) & (j >= 0) & (j < n1)
         rows.append(r[on] + s)
         cols.append(i[on] * n1 + j[on])
-        if sum(x.size for x in rows) > MAX_EXPLICIT_EDGES:
-            raise ResourceLimitError("transition graph exceeds edge cap")
+        _check_edge_cap(sum(x.size for x in rows), at_least=True)
     return np.concatenate(rows), np.concatenate(cols)
+
+
+def _check_edge_cap(edges: int, at_least: bool = False) -> int:
+    """Return ``edges`` when within MAX_EXPLICIT_EDGES, else raise
+    ResourceLimitError; ``at_least`` marks a partial count."""
+    if edges > MAX_EXPLICIT_EDGES:
+        raise ResourceLimitError(
+            f"transition graph needs {'at least ' if at_least else ''}{edges} edges "
+            f"({12 * edges} bytes at 12 B per edge in the SCC pass), above the "
+            f"edge cap MAX_EXPLICIT_EDGES={MAX_EXPLICIT_EDGES}")
+    return edges
 
 
 def _check_self_map(sys: System, samples: int = 64):

@@ -11,7 +11,11 @@ kernel, ``systems._cell_images``.  In one dimension the successor set of a
 graph is stored as per-control (start, length) arrays and set-valued steps run
 as difference-array sweeps in O(n).  Two-dimensional graphs use an explicit
 sparse boolean matrix, built from the kernel's (source, cell) pairs, which it
-makes a chunk of sources at a time in windows around the image balls.
+makes a chunk of sources at a time in windows around the image balls; its
+sweeps run in bool, where a sum is an OR and cannot wrap.  For the SCC pass a
+1-D graph lays its ranges out as CSR in place, 12 bytes per edge (int32
+indices, float64 data: scipy copies neither), each cell's ranges merged first:
+scipy's strong ``connected_components`` (1.17) can hang on a repeated edge.
 """
 from __future__ import annotations
 
@@ -19,9 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import EmptySetError, ResolutionError, ResourceLimitError
+from .errors import EmptySetError, ResolutionError
 from .geometry import CellSet, Grid, _range_union
-from .systems import MAX_EXPLICIT_EDGES, System, _cell_images
+from .systems import System, _cell_images, _check_edge_cap
 
 
 class _RangeGraph:
@@ -64,23 +68,37 @@ class _RangeGraph:
         return int(self.length.sum())
 
     def to_csr(self) -> sp.csr_matrix:
-        if self.edge_count() > MAX_EXPLICIT_EDGES:
-            raise ResourceLimitError("graph too dense to materialize explicitly")
-        length = self.length.ravel()
-        rows = np.repeat(np.tile(np.arange(self.n), self.start.shape[0]), length)
-        # entry i of the range that begins at flat position p is start + (i - p)
-        cols = np.arange(int(length.sum()), dtype=np.int64)
-        cols += np.repeat(self.start.ravel() - (np.cumsum(length) - length), length)
-        cols %= self.n
-        return _csr(self.n, rows, cols)
+        """The adjacency as CSR at 12 bytes per edge; row c lists c's
+        successors in order, once each.  The int32 indices are one cumsum of
+        steps: +1 inside a range and a jump at each range's first entry."""
+        start, length, row_len = self._disjoint_ranges()
+        indices = np.ones(_check_edge_cap(int(row_len.sum())), np.int32)
+        indices[np.cumsum(length) - length] = start - np.concatenate(
+            [[0], start[:-1] + length[:-1] - 1])
+        del start, length   # the float64 data comes last, beside indices only
+        np.cumsum(indices, dtype=np.int32, out=indices)
+        indptr = np.concatenate([[0], np.cumsum(row_len)])
+        return sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                             shape=(self.n, self.n))
 
-
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    """n x n 0/1 adjacency with an edge at each (row, col); repeats merge."""
-    m = sp.coo_matrix((np.ones(rows.size, dtype=np.uint8), (rows, cols)),
-                      shape=(n, n)).tocsr()
-    m.data[:] = 1
-    return m
+    def _disjoint_ranges(self):
+        """Each cell's successors as sorted disjoint ranges that do not wrap:
+        (start, length) in cell order, and the successor count per cell."""
+        n = self.n
+        # pieces [lo, hi): each range's wrapped part (lo = 0; empty unless it
+        # wraps), then the ranges by start; shifted by cell * (n + 1), one
+        # running max of hi merges the pieces cell by cell
+        order = np.argsort(self.start, axis=0, kind="stable")
+        end = np.take_along_axis(self.start + self.length, order, 0)
+        lo = np.concatenate([0 * end, np.take_along_axis(self.start, order, 0)])
+        hi = np.concatenate([np.maximum(end - n, 0), np.minimum(end, n)])
+        shift = (n + 1) * np.arange(n)
+        lo, hi = (lo + shift).T.ravel(), np.maximum.accumulate((hi + shift).T.ravel())
+        first = np.flatnonzero(np.concatenate([[True], lo[1:] > hi[:-1]]))
+        start, length = lo[first], hi[np.append(first[1:], lo.size) - 1] - lo[first]
+        start, length = start[length > 0], length[length > 0]
+        cell = start // (n + 1)
+        return start - cell * (n + 1), length, np.bincount(cell, length, n).astype(np.int64)
 
 
 class _CsrGraph:
@@ -94,12 +112,10 @@ class _CsrGraph:
         return np.sort(self.m.indices[self.m.indptr[c]:self.m.indptr[c + 1]])
 
     def image_of(self, mask: np.ndarray) -> np.ndarray:
-        vec = mask.reshape(-1).astype(np.uint8)
-        return (vec @ self.m > 0).reshape(mask.shape)
+        return (mask.reshape(-1) @ self.m).reshape(mask.shape)
 
     def preimage_of(self, mask: np.ndarray) -> np.ndarray:
-        vec = mask.reshape(-1).astype(np.uint8)
-        return (self.m @ vec > 0).reshape(mask.shape)
+        return (self.m @ mask.reshape(-1)).reshape(mask.shape)
 
     def self_loops(self) -> np.ndarray:
         return self.m.diagonal().astype(bool)
@@ -165,8 +181,9 @@ def build_graph(sys: System, grid: Grid, eps: float) -> TransitionGraph:
     a, b = _cell_images(sys, grid, slice(None), eps)
     if grid.domain.ndim == 1:
         return TransitionGraph(sys, grid, eps, _RangeGraph(n, a, b))
-    a %= n   # image j * n + c is source c's under control j
-    return TransitionGraph(sys, grid, eps, _CsrGraph(_csr(n, a, b)))
+    a %= n   # image j * n + c is source c's under control j; repeats merge
+    m = sp.coo_matrix((np.ones(a.size, bool), (a, b)), shape=(n, n)).tocsr()
+    return TransitionGraph(sys, grid, eps, _CsrGraph(m))
 
 
 def _closure(step, seed: np.ndarray, depths: np.ndarray | None = None) -> np.ndarray:
@@ -214,19 +231,14 @@ def recurrent_cells(g: TransitionGraph) -> list[CellSet]:
     A component is kept when it has at least two cells or a self-loop.
     Components come back disjoint and ordered by their smallest member index.
     """
-    csr = g.to_csr()
-    _, labels = connected_components(csr, directed=True, connection="strong")
-    loops = g.self_loops()
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    groups = np.split(order, boundaries)
-    comps = []
-    for members in groups:
-        if members.size >= 2 or loops[members[0]]:
-            comps.append(np.sort(members))
-    comps.sort(key=lambda m: int(m[0]))
-    return [CellSet.from_indices(g.grid, m) for m in comps]
+    _, labels = connected_components(g.to_csr(), directed=True,
+                                     connection="strong")
+    kept = np.bincount(labels) >= 2
+    kept[labels[g.self_loops()]] = True
+    cells = np.flatnonzero(kept[labels])
+    cells = cells[np.argsort(labels[cells], kind="stable")]
+    groups = np.split(cells, np.flatnonzero(np.diff(labels[cells])) + 1)
+    return [CellSet.from_indices(g.grid, m) for m in sorted(groups, key=lambda m: m[0])]
 
 
 def extract_path(g: TransitionGraph, depths: np.ndarray, end_cell: int):
