@@ -226,16 +226,26 @@ def minimal_sets(
     base_grid: Grid | None = None,
     orbit_max_steps: int = 200_000,
 ) -> Census:
-    """Enumerate candidate minimal sets by nested recurrence refinement."""
+    """Enumerate candidate minimal sets by nested recurrence refinement.
+
+    Each level after the first builds its graph only on the refinement of
+    the cells of the level before's components: every component of the
+    finer graph lies there (see the README on subdivision).
+    """
     if base_grid is None:
         base_grid = grid_for(sys.domain, eps0)
     level_comps: list[list[np.ndarray]] = []
     grids: list[Grid] = []
     cap = max_cells_cap()
+    recurrent = None
     for k in range(levels):
         grid_k = _refine_capped(base_grid, k, cap)
-        g = build_graph(sys, grid_k, eps0 / (2 ** k))
-        level_comps.append([cs.indices() for cs in recurrent_cells(g)])
+        cand = recurrent.refine(2) if k else None
+        comps = recurrent_cells(build_graph(sys, grid_k, eps0 / (2 ** k), cand))
+        recurrent = CellSet.empty(grid_k)
+        for cs in comps:
+            recurrent.mask |= cs.mask
+        level_comps.append([cs.indices() for cs in comps])
         grids.append(grid_k)
     eps_f = eps0 / (2 ** (levels - 1))
     grid_f = grids[-1]

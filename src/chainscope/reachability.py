@@ -170,8 +170,10 @@ def chain_reach(
     Level k runs the eps0/2^k fattened graph on the start grid refined by
     2^k, preserving the resolution coupling exactly.  ``fatten_start``
     additionally fattens the start set by the level's eps before the sweep.
-    Stabilization compares the last two levels at the coarser of the two
-    cell diameters.
+    Each level after the first builds its graph only on the refinement of
+    the level before's reach, which holds all of this level's reach (see the
+    README on subdivision).  Stabilization compares the last two levels at
+    the coarser of the two cell diameters.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -188,7 +190,8 @@ def chain_reach(
         start_k = start.refine(2 ** k) if k else start.copy()
         if fatten_start:
             start_k = fatten(start_k, eps_k)
-        g = build_graph(sys, grid_k, eps_k)
+        cand = out[-1].cells.refine(2) if k else None
+        g = build_graph(sys, grid_k, eps_k, cand)
         out.append(ChainLevel(eps_k, grid_k, forward_reach(g, start_k)))
     stabilized = True
     if len(out) >= 2:

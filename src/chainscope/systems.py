@@ -95,7 +95,8 @@ def _image_union(sys: System, grid: Grid, cells) -> np.ndarray:
     return np.bincount(b, minlength=grid.n_cells) > 0
 
 
-def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
+def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None,
+                 label: np.ndarray | None = None):
     """Each source cell's image under each control: the cells touching the
     closed ball of radius L * cell_radius around f(center, u) and, given
     ``eps``, every cell touching that set's closed eps-neighborhood.
@@ -103,9 +104,12 @@ def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
     ``cells`` indexes the sources among all cells: flat indices or a slice.
     Image j * m + i is that of control j and the i-th of the m sources.
     1-D: (start, length) ranges of shape (n_controls, m), as made by
-    ``_index_ranges``.  2-D: (rows, cols), one entry per (image, cell) pair;
-    chunks of images are tested in windows as wide as the widest touch range
-    and dilated there by the mask ``Grid.fatten_offsets(eps)``.
+    ``_index_ranges``.  2-D: int32 (rows, cols), one entry per (image, cell)
+    pair; chunks of images are tested in windows as wide as the widest touch
+    range and dilated there by the mask ``Grid.fatten_offsets(eps)``.  Given
+    ``label`` (each cell's number among some candidate cells, -1 for the
+    others), each chunk keeps only the pairs whose cell c is a candidate, as
+    (image, label[c]), and the edge cap counts only those.
     """
     rho = sys.lipschitz * (grid.cell_diameter / 2.0) * _RADIUS_SAFETY
     centers = grid.centers()[cells]
@@ -123,7 +127,8 @@ def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
     (n0, n1), (w0, w1) = grid.cells_per_dim, struct.shape
     offs = [np.arange(np.max(hi[d] - lo[d], initial=0) + 1) for d in range(2)]
     step = max(1, _IMAGE_CHUNK_CELLS // ((offs[0].size + w0) * (offs[1].size + w1)))
-    rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    itype = np.int32 if max(pts.shape[0], grid.n_cells) < 2 ** 31 else np.int64
+    rows, cols = [np.empty(0, itype)], [np.empty(0, itype)]
     for s in range(0, pts.shape[0], step):
         part = slice(s, s + step)
         sq, inside = [], []
@@ -142,8 +147,12 @@ def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
         r, a, b = np.nonzero(fat)
         i, j = lo[0][part][r] - w0 // 2 + a, lo[1][part][r] - w1 // 2 + b
         on = (i >= 0) & (i < n0) & (j >= 0) & (j < n1)
-        rows.append(r[on] + s)
-        cols.append(i[on] * n1 + j[on])
+        r, c = r[on] + s, i[on] * n1 + j[on]
+        if label is not None:
+            c = label[c]
+            r, c = r[c >= 0], c[c >= 0]
+        rows.append(r.astype(itype))
+        cols.append(c.astype(itype))
         _check_edge_cap(sum(x.size for x in rows), at_least=True)
     return np.concatenate(rows), np.concatenate(cols)
 

@@ -5,17 +5,29 @@ granularity: cell c has an edge to every cell touching the eps-fattening of
 the rigorous image of c.  Edges therefore over-approximate the perturbed
 map restricted to the cell, for every point of the cell and every control.
 
-Every cell's fattened image under every control comes from one batched
+A graph may be built on a set of candidate cells only: it is then the
+subgraph that the candidates induce.  The candidates, in increasing order,
+are numbered 0..m-1 (``TransitionGraph.cells`` maps a number back to its
+cell); the build, the sweeps and the SCC pass run on these numbers, and
+results come back as full-grid cell sets.  A graph on every cell is the
+same code with m = n, where each cell is numbered as itself.  Subdivision
+(``minimal_sets``, ``chain_reach``) builds each level on the refinement of
+the level before; see the README for why that is exact.
+
+Every candidate's fattened image under every control comes from one batched
 kernel, ``systems._cell_images``.  In one dimension the successor set of a
-(cell, control) pair is a contiguous index range, taken modulo n, so the
-graph is stored as per-control (start, length) arrays and set-valued steps run
-as difference-array sweeps in O(n).  Two-dimensional graphs use an explicit
-sparse boolean matrix, built from the kernel's (source, cell) pairs, which it
-makes a chunk of sources at a time in windows around the image balls; its
-sweeps run in bool, where a sum is an OR and cannot wrap.  For the SCC pass a
-1-D graph lays its ranges out as CSR in place, 12 bytes per edge (int32
-indices, float64 data: scipy copies neither), each cell's ranges merged first:
-scipy's strong ``connected_components`` (1.17) can hang on a repeated edge.
+(cell, control) pair is a contiguous index range, taken modulo n; among the
+candidates it is still one range, taken modulo m, found from a prefix count
+of the candidates.  So the graph is stored as per-control (start, length)
+arrays and set-valued steps run as difference-array sweeps in O(m).
+Two-dimensional graphs use an explicit sparse boolean matrix, built from the
+kernel's int32 (source, candidate) pairs, which it makes a chunk of sources
+at a time in windows around the image balls, dropping images that are not
+candidates; its sweeps run in bool, where a sum is an OR and cannot wrap.
+For the SCC pass a 1-D graph lays its ranges out as CSR in place, 12 bytes
+per edge (int32 indices, float64 data: scipy copies neither), each cell's
+ranges merged first: scipy's strong ``connected_components`` (1.17) can hang
+on a repeated edge.
 """
 from __future__ import annotations
 
@@ -23,22 +35,24 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import EmptySetError, ResolutionError
+from .errors import EmptySetError, GridMismatchError, ResolutionError
 from .geometry import CellSet, Grid, _range_union
 from .systems import System, _cell_images, _check_edge_cap
 
 
 class _RangeGraph:
-    """1-D successor ranges: under control j, successors(c) are the cells
-    (start[j, c] + i) % n for 0 <= i < length[j, c].
+    """1-D successor ranges among n candidates: under control j, successors(c)
+    are the candidates (start[j, c] + i) % n for 0 <= i < length[j, c].
 
-    0 <= start < n and 1 <= length <= n.  Box ranges never pass n - 1;
-    circle ranges may wrap past it, so membership is always taken modulo n.
+    0 <= start <= n and 0 <= length <= n: a range is empty when no candidate
+    lies in its cells, and starts at n, which is 0 modulo n, when none lies
+    from its first cell on.  Box ranges never pass n - 1; circle ranges may
+    wrap past it, so membership is always taken modulo n.
     """
 
     def __init__(self, n: int, start: np.ndarray, length: np.ndarray):
         self.n = n
-        self.start = start       # (n_controls, n) int64
+        self.start = start       # (n_controls, n) int64, or int32 when renumbered
         self.length = length
 
     def successors(self, c: int) -> np.ndarray:
@@ -59,6 +73,11 @@ class _RangeGraph:
         cnt = (prefix[np.minimum(ends, self.n)] - prefix[self.start]
                + prefix[np.maximum(ends - self.n, 0)])
         return np.any(cnt > 0, axis=0).reshape(mask.shape)
+
+    def has_edges(self, src: np.ndarray, dst: int) -> np.ndarray:
+        """Per source in ``src``: whether ``dst`` is one of its successors."""
+        hit = (dst - self.start[:, src]) % self.n < self.length[:, src]
+        return np.any(hit, axis=0)
 
     def self_loops(self) -> np.ndarray:
         return np.any((np.arange(self.n) - self.start) % self.n < self.length,
@@ -85,6 +104,8 @@ class _RangeGraph:
         """Each cell's successors as sorted disjoint ranges that do not wrap:
         (start, length) in cell order, and the successor count per cell."""
         n = self.n
+        if not n:
+            return (np.zeros(0, np.int64),) * 3
         # pieces [lo, hi): each range's wrapped part (lo = 0; empty unless it
         # wraps), then the ranges by start; shifted by cell * (n + 1), one
         # running max of hi merges the pieces cell by cell
@@ -117,6 +138,9 @@ class _CsrGraph:
     def preimage_of(self, mask: np.ndarray) -> np.ndarray:
         return (self.m @ mask.reshape(-1)).reshape(mask.shape)
 
+    def has_edges(self, src: np.ndarray, dst: int) -> np.ndarray:
+        return self.m[src, dst].toarray().ravel()
+
     def self_loops(self) -> np.ndarray:
         return self.m.diagonal().astype(bool)
 
@@ -128,46 +152,76 @@ class _CsrGraph:
 
 
 class TransitionGraph:
-    """One-step over-approximation of the eps-perturbed multifunction."""
+    """One-step over-approximation of the eps-perturbed multifunction,
+    induced on the candidate cells ``cells`` (increasing; every cell unless
+    given).  Cells outside the candidates have no edges."""
 
-    def __init__(self, sys: System, grid: Grid, eps: float, impl):
+    def __init__(self, sys: System, grid: Grid, eps: float, impl, cells=None):
         self.system = sys
         self.grid = grid
         self.eps = float(eps)
         self._impl = impl
+        self.cells = np.arange(grid.n_cells) if cells is None else cells
 
     @property
     def n_cells(self) -> int:
         return self.grid.n_cells
 
+    def _gather(self, mask: np.ndarray) -> np.ndarray:
+        """A full-grid mask read at the candidates (a view when all are)."""
+        flat = mask.reshape(-1)
+        return flat if self.cells.size == flat.size else flat[self.cells]
+
+    def _scatter(self, local: np.ndarray) -> np.ndarray:
+        """A candidate mask written back onto the grid."""
+        if local.size == self.grid.n_cells:
+            return local.reshape(self.grid.shape)
+        out = np.zeros(self.grid.n_cells, bool)
+        out[self.cells] = local
+        return out.reshape(self.grid.shape)
+
+    def _label(self, cell: int) -> int:
+        i = int(np.searchsorted(self.cells, cell))
+        if i == self.cells.size or self.cells[i] != cell:
+            raise ValueError(f"cell {cell} is not a candidate of this graph")
+        return i
+
     def successors(self, cell: int) -> np.ndarray:
-        return self._impl.successors(int(cell))
+        return self.cells[self._impl.successors(self._label(int(cell)))]
+
+    def _step(self, step, cells: CellSet) -> CellSet:
+        return CellSet(self.grid, self._scatter(step(self._gather(cells.mask))))
 
     def image_of(self, cells: CellSet) -> CellSet:
-        return CellSet(self.grid, self._impl.image_of(cells.mask))
+        return self._step(self._impl.image_of, cells)
 
     def preimage_of(self, cells: CellSet) -> CellSet:
         """Cells with at least one successor inside ``cells`` (lower pre-image)."""
-        return CellSet(self.grid, self._impl.preimage_of(cells.mask))
+        return self._step(self._impl.preimage_of, cells)
 
     def self_loops(self) -> np.ndarray:
+        """Per candidate, in candidate order: whether it is its own successor."""
         return self._impl.self_loops().reshape(-1)
 
     def edge_count(self) -> int:
         return self._impl.edge_count()
 
     def to_csr(self) -> sp.csr_matrix:
+        """The adjacency among the candidates, numbered 0..m-1."""
         return self._impl.to_csr()
 
     def dump_edges(self, fp):
-        """Textual edge list 'src -> dst1,dst2,...' sorted by src."""
-        for c in range(self.n_cells):
+        """Textual edge list 'src -> dst1,dst2,...' sorted by src, one line
+        per candidate."""
+        for c in self.cells:
             succ = ",".join(str(int(s)) for s in self.successors(c))
             fp.write(f"{c} -> {succ}\n")
 
 
-def build_graph(sys: System, grid: Grid, eps: float) -> TransitionGraph:
-    """Build the eps-fattened cell transition graph.
+def build_graph(sys: System, grid: Grid, eps: float,
+                cells: CellSet | None = None) -> TransitionGraph:
+    """Build the eps-fattened cell transition graph, on the candidate
+    ``cells`` only when given (the subgraph they induce).
 
     Requires eps >= 4 * cell_diameter so the fattening dominates the
     discretization error; refuses silently unsound builds.
@@ -177,52 +231,72 @@ def build_graph(sys: System, grid: Grid, eps: float) -> TransitionGraph:
             f"eps={eps:g} below resolution coupling 4*cell_diameter="
             f"{4.0 * grid.cell_diameter:g}"
         )
+    if cells is not None and cells.grid != grid:
+        raise GridMismatchError("candidate cells live on another grid")
     n = grid.n_cells
-    a, b = _cell_images(sys, grid, slice(None), eps)
+    mask = np.ones(n, bool) if cells is None else cells.mask.reshape(-1)
+    idx = np.flatnonzero(mask)
+    m = idx.size
+    sources, rank = slice(None), None   # every cell a candidate: c is numbered c
+    if m < n:
+        # rank[c]: the candidates below cell c, over two turns of the grid,
+        # so that the cells [a, b) hold rank[b] - rank[a] candidates even past n
+        sources, rank = idx, np.zeros(2 * n + 1, np.int32 if n < 2 ** 30 else np.int64)
+        np.cumsum(np.tile(mask, 2), out=rank[1:])
     if grid.domain.ndim == 1:
-        return TransitionGraph(sys, grid, eps, _RangeGraph(n, a, b))
-    a %= n   # image j * n + c is source c's under control j; repeats merge
-    m = sp.coo_matrix((np.ones(a.size, bool), (a, b)), shape=(n, n)).tocsr()
-    return TransitionGraph(sys, grid, eps, _CsrGraph(m))
+        start, length = _cell_images(sys, grid, sources, eps)
+        if rank is not None:
+            start, length = rank[start], rank[start + length] - rank[start]
+        return TransitionGraph(sys, grid, eps, _RangeGraph(m, start, length), idx)
+    label = None if rank is None else np.where(mask, rank[:n], -1)
+    a, b = _cell_images(sys, grid, sources, eps, label)
+    a %= max(m, 1)   # image j * m + i is source i's under control j; repeats merge
+    adj = sp.coo_matrix((np.ones(a.size, bool), (a, b)), shape=(m, m)).tocsr()
+    return TransitionGraph(sys, grid, eps, _CsrGraph(adj), idx)
 
 
-def _closure(step, seed: np.ndarray, depths: np.ndarray | None = None) -> np.ndarray:
-    """Least superset of the seed mask closed under ``step``, by breadth-first
-    sweeps; writes each newly reached cell's sweep number into ``depths``."""
-    reached = seed.copy()
-    frontier = seed
+def _closure(g: TransitionGraph, step, seed: CellSet,
+             depths: np.ndarray | None = None) -> CellSet:
+    """Least superset of the seed closed under ``step``, a map of candidate
+    masks, by breadth-first sweeps; writes each newly reached candidate's
+    sweep number into ``depths``.  Seed cells that are not candidates are
+    kept, and have no edges."""
+    frontier = g._gather(seed.mask)
+    reached = frontier.copy()
     level = 0
     while frontier.any():
         level += 1
         frontier = step(frontier) & ~reached
         reached |= frontier
         if depths is not None:
-            depths[frontier.reshape(-1)] = level
-    return reached
+            depths[frontier] = level
+    return CellSet(g.grid, g._scatter(reached) | seed.mask)
 
 
 def forward_reach(g: TransitionGraph, start: CellSet) -> CellSet:
     """Least fixed point containing start and closed under graph successors."""
     if not start:
         raise EmptySetError("forward_reach from an empty start set")
-    return CellSet(g.grid, _closure(g._impl.image_of, start.mask))
+    return _closure(g, g._impl.image_of, start)
 
 
 def forward_reach_depths(g: TransitionGraph, start: CellSet):
     """Forward reach plus per-cell BFS depth (-1 for unreached cells)."""
     if not start:
         raise EmptySetError("forward_reach from an empty start set")
+    local = np.where(g._gather(start.mask), 0, -1)
+    reached = _closure(g, g._impl.image_of, start, local)
     depths = np.full(g.n_cells, -1, dtype=np.int64)
+    depths[g.cells] = local
     depths[start.indices()] = 0
-    reached = _closure(g._impl.image_of, start.mask, depths)
-    return CellSet(g.grid, reached), depths
+    return reached, depths
 
 
 def backward_reach(g: TransitionGraph, target: CellSet) -> CellSet:
     """All cells whose forward reach intersects the target."""
     if not target:
         raise EmptySetError("backward_reach to an empty target set")
-    return CellSet(g.grid, _closure(g._impl.preimage_of, target.mask))
+    return _closure(g, g._impl.preimage_of, target)
 
 
 def recurrent_cells(g: TransitionGraph) -> list[CellSet]:
@@ -236,9 +310,12 @@ def recurrent_cells(g: TransitionGraph) -> list[CellSet]:
     kept = np.bincount(labels) >= 2
     kept[labels[g.self_loops()]] = True
     cells = np.flatnonzero(kept[labels])
+    if not cells.size:
+        return []
     cells = cells[np.argsort(labels[cells], kind="stable")]
     groups = np.split(cells, np.flatnonzero(np.diff(labels[cells])) + 1)
-    return [CellSet.from_indices(g.grid, m) for m in sorted(groups, key=lambda m: m[0])]
+    return [CellSet.from_indices(g.grid, g.cells[m])
+            for m in sorted(groups, key=lambda m: m[0])]
 
 
 def extract_path(g: TransitionGraph, depths: np.ndarray, end_cell: int):
@@ -246,31 +323,31 @@ def extract_path(g: TransitionGraph, depths: np.ndarray, end_cell: int):
 
     Returns cells from a depth-0 cell to ``end_cell``; each consecutive pair
     is a graph edge.  Predecessors are chosen deterministically (smallest
-    index at the previous depth).
+    index at the previous depth): only the cells at that depth are tested
+    for an edge into the current cell.
     """
     path = [int(end_cell)]
-    cur = int(end_cell)
-    d = int(depths[cur])
+    d = int(depths[end_cell])
     if d < 0:
         raise ValueError("end cell was not reached")
-    for level in range(d, 0, -1):
-        cur_set = CellSet.from_indices(g.grid, [cur])
-        preds = g.preimage_of(cur_set).indices()
-        preds = preds[depths[preds] == level - 1]
-        cur = int(preds[0])
-        path.append(cur)
+    if d:
+        local = depths[g.cells]
+        cur = g._label(int(end_cell))
+        for level in range(d, 0, -1):
+            preds = np.flatnonzero(local == level - 1)
+            cur = int(preds[np.argmax(g._impl.has_edges(preds, cur))])
+            path.append(int(g.cells[cur]))
     path.reverse()
     return path
 
 
 def edge_control(g: TransitionGraph, src: int, dst: int):
     """A control value under which the edge src -> dst exists."""
-    impl = g._impl
-    if isinstance(impl, _RangeGraph):
-        hit = (dst - impl.start[:, src]) % impl.n < impl.length[:, src]
-    else:
-        rows, cols = _cell_images(g.system, g.grid, [src], g.eps)
-        hit = np.isin(np.arange(len(g.system.controls)), rows[cols == dst])
+    a, b = _cell_images(g.system, g.grid, [src], g.eps)
+    if g.grid.domain.ndim == 1:   # (start, length) ranges
+        hit = (dst - a[:, 0]) % g.n_cells < b[:, 0]
+    else:                         # (image, cell) pairs; image j is control j's
+        hit = np.isin(np.arange(len(g.system.controls)), a[b == dst])
     for u, ok in zip(g.system.controls, hit):
         if ok:
             return u

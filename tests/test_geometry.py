@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import binary_dilation
 
 from chainscope.errors import DomainError, EmptySetError, GridMismatchError
@@ -130,18 +132,27 @@ def test_fatten_contains_input_and_full_grid_fixed_point():
     (BOX, 60), (CIRCLE, 60), (Domain.box([[0, 1], [0, 2]]), (8, 10)),
     # 3 circle cells: 2k + 1 >= n, every range covers the whole circle
     (CIRCLE, 3),
-    # a box narrower than eps = 0.11
+    # a box narrower than most drawn eps
     (Domain.box([[0.0, 0.05]]), 6),
 ])
-def test_fatten_matches_bruteforce_oracle(domain, cells):
-    rng = np.random.default_rng(11)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_fatten_matches_bruteforce_oracle(domain, cells, data):
     g = Grid(domain, cells)
-    for eps in (0.04, 0.11):
-        for _ in range(5):
-            members = rng.choice(g.n_cells, size=min(4, g.n_cells - 1),
-                                 replace=False)
-            s = CellSet.from_indices(g, members)
-            assert fatten(s, eps) == _fatten_oracle(s, eps)
+    extent = float(np.linalg.norm(domain.widths))
+    # up to a third of the extent, or beyond it (every cell is then kept)
+    eps = data.draw(st.one_of(
+        st.floats(1e-4, extent / 3),
+        st.sampled_from([1.01 * extent, 7.0 * extent, 1e300])))
+    members = data.draw(st.lists(st.integers(0, g.n_cells - 1), min_size=1,
+                                 max_size=min(5, g.n_cells), unique=True))
+    s = CellSet.from_indices(g, members)
+    got = fatten(s, eps)
+    # equal to the oracle, except for a cell exactly eps away (a drawn eps
+    # can be a multiple of the spacing): the oracle's box coordinates and
+    # fatten's offsets round such a tie each their own way
+    assert _fatten_oracle(s, eps * (1 - 1e-9)).issubset(got)
+    assert got.issubset(_fatten_oracle(s, eps * (1 + 1e-9)))
 
 
 def test_fatten_monotone_in_set_and_eps():
