@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .geometry import CellSet, Grid, fatten, grid_for
-from .orbits import STALL, advance, reach_lanes, reaches, run, trajectory, within
+from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory, within
 from .reachability import (
     RobustnessCertificate,
     _refine_capped,
@@ -448,6 +448,9 @@ def weak_basin(
     Orbit evidence rather than graph chains keeps points like an unstable
     boundary fixed point out of the basin.  ``invariance_eps`` loosens the
     forward-invariance precondition for sets produced at a coarser eps.
+    Each orbit stops at its first cell in the target, so an orbit that
+    meets it and would leave the domain later counts as a hit; an orbit
+    read that leaves the domain before meeting it raises ``DomainError``.
     """
     grid0 = a_set.grid
     inv = invariance_eps if invariance_eps is not None else 4.0 * grid0.cell_diameter
@@ -464,8 +467,8 @@ def weak_basin(
         flat = probes.reshape(-1, probes.shape[-1])
         first, lane = _first_occurrences(flat)   # one orbit per distinct point
         hit, outside = [], {}
-        for lanes in reach_lanes(sys, flat[first], grid_k, orbit_max_steps):
-            hit.append(lanes.hits(t_mask))   # the block's orbits are freed
+        for lanes in reach_lanes(sys, flat[first], grid_k, orbit_max_steps, target=t_mask):
+            hit.append(lanes.reason == HIT)   # the block's orbits are freed
             outside.update((lanes.b0 + b, p) for b, p in lanes.outside.items())
         hit = np.concatenate(hit)
         # a cell reads its probes in order up to the first miss, and points

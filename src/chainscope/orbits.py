@@ -6,7 +6,9 @@ checks vectorized over each chunk; ``run_trees`` does the same for the
 breadth-first control trees of multivalued systems.  Lanes run in lazily
 yielded blocks whose size follows the orbits' length, so memory stays
 bounded and a reader that stops early skips the rest.  Results equal those
-of a one-point-per-step loop bit for bit.
+of a one-point-per-step loop bit for bit.  Given a target cell mask, a lane
+also stops at its first kept cell in the target, so a reader that needs
+only whether an orbit comes near a set runs no step past the answer.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ class ReachResult:
 
 
 # why a lane of the orbit engine stopped; on a tie the smaller code wins
-REVISIT, OUTSIDE, STALL, BUDGET = range(4)
+REVISIT, OUTSIDE, HIT, STALL, BUDGET = range(5)
 _NEVER = np.iinfo(np.int64).max
 # lanes run in blocks that start at one lane and double, up to _LANE_BLOCK
 # lanes and as long as a block keeps about _BLOCK_POINTS points at most
@@ -48,16 +50,18 @@ _CHUNK_LANE_STEPS = 1 << 14
 _FIRST_CHUNK = 8
 
 
-def reach_lanes(sys, starts, grid, max_steps, tol=1e-12, stall=None, seq=None):
+def reach_lanes(sys, starts, grid, max_steps, tol=1e-12, stall=None, seq=None,
+                target=None):
     """``orbit_reach`` from every row of ``starts`` (points in the domain's
     canonical form) as the lanes of the engine, one ``_Lanes`` per block:
     control trees for multivalued systems under policy "all", trajectories
-    otherwise."""
+    otherwise.  Given the flat cell mask ``target``, a lane stops at its
+    first kept cell in the target (reason HIT)."""
     if seq is None and sys.multivalued:
-        return run_trees(sys, starts, grid, max_steps)
+        return run_trees(sys, starts, grid, max_steps, target)
     if stall is None:
         stall = min(max(8 * max(grid.cells_per_dim), 256), 50_000)
-    return run(sys, starts, grid, max_steps, tol, stall, sys.controls[0], seq)
+    return run(sys, starts, grid, max_steps, tol, stall, sys.controls[0], seq, target)
 
 
 def reaches(sys, starts, grid, max_steps, tol=1e-12, stall=None, seq=None):
@@ -126,13 +130,6 @@ class _Lanes:
         mask = np.zeros(n, dtype=bool)
         mask[self.keys[lo:hi] - lane * n] = True
         return CellSet(self.grid, mask.reshape(self.grid.shape))
-
-    def hits(self, mask: np.ndarray) -> np.ndarray:
-        """Per lane: whether a kept cell lies in the flat cell ``mask``."""
-        n = self.grid.n_cells
-        out = np.zeros(self.n_lanes, bool)
-        out[self.keys[mask[self.keys % n]] // n] = True
-        return out
 
     def points(self, lane: int) -> np.ndarray:
         if self._by_lane is None:
@@ -310,7 +307,7 @@ def _first_step(flags: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return np.where(flags[j, np.arange(flags.shape[1])], steps[j, 0], _NEVER)
 
 
-def run(sys, starts, grid, max_steps, tol, stall, u=None, seq=None):
+def run(sys, starts, grid, max_steps, tol, stall, u=None, seq=None, target=None):
     """The orbit engine: the trajectories from ``starts`` (B, d), in the
     domain's canonical form, advanced together as lanes; yields one
     ``_Lanes`` per block of lanes (see ``_blocks``).
@@ -320,26 +317,30 @@ def run(sys, starts, grid, max_steps, tol, stall, u=None, seq=None):
     - REVISIT: the point lies within ``tol`` of an earlier point of the lane
       (not kept; off when tol <= 0);
     - OUTSIDE: the point leaves the domain (``_Lanes.check`` raises);
+    - HIT: the point's cell lies in the flat cell mask ``target``, if given
+      (the point is kept; the start point is a hit at step 0);
     - STALL: no new cell for ``stall`` steps (the point is kept);
     - BUDGET: min(len(seq), max_steps) steps ran (every point is kept).
     A block runs in time chunks that start at _FIRST_CHUNK steps and double
     up to _CHUNK_LANE_STEPS lane-steps; the checks are vectorized over a
-    chunk, and steps computed past a lane's stop are discarded.
+    chunk, and steps computed past a lane's stop are discarded.  No live
+    lane can stall before its last new cell's step plus ``stall``, so a
+    chunk ends at the earliest such step of the block's live lanes; this
+    cap leaves the doubling of later chunks as it was.
     """
     n_max = max(min(len(seq), max_steps) if seq is not None else max_steps, 0)
     whole = seq is not None and len(seq) <= max_steps   # all of seq ran: converged
 
     def one_block(block):
-        out = _orbit_block(sys, block, grid, n_max, tol, stall, u, seq)
-        out.steps_used = np.select([out.reason == REVISIT, out.reason == STALL],
-                                   [out.stop, out.last_new], n_max)
+        out = _orbit_block(sys, block, grid, n_max, tol, stall, u, seq, target)
+        out.steps_used = np.where(out.reason == STALL, out.last_new, out.stop)
         out.converged = (out.reason != BUDGET) | whole
         return out
 
     return _blocks(one_block, starts)
 
 
-def _orbit_block(sys, starts, grid, n_max, tol, stall, u, seq) -> _Lanes:
+def _orbit_block(sys, starts, grid, n_max, tol, stall, u, seq, target) -> _Lanes:
     """Run the lanes of one block of ``run``."""
     dom, n, d = grid.domain, grid.n_cells, grid.domain.ndim
     out = _Lanes(grid, len(starts))
@@ -348,8 +349,13 @@ def _orbit_block(sys, starts, grid, n_max, tol, stall, u, seq) -> _Lanes:
     for b in ids[~ok]:
         out.fail(b, starts[b])
     ids, pts = ids[ok], starts[ok]
-    seen = ids * n + grid.cells_of(pts)   # sorted, as ids ascend
+    cells = grid.cells_of(pts)
+    seen = ids * n + cells   # sorted, as ids ascend
     out.kept.append((ids, pts))
+    if target is not None:
+        hit = target[cells]
+        out.reason[ids[hit]] = HIT
+        ids, pts = ids[~hit], pts[~hit]
     held = _Visited(dom, tol, ids, pts)
     last_new = np.zeros(ids.size, np.int64)
     t, span = 0, _FIRST_CHUNK
@@ -357,6 +363,7 @@ def _orbit_block(sys, starts, grid, n_max, tol, stall, u, seq) -> _Lanes:
         m = ids.size
         L = min(span, max(1, _CHUNK_LANE_STEPS // m), n_max - t)
         span = 2 * L
+        L = max(1, min(L, int(last_new.min()) + stall - t))   # the stall bound
         with np.errstate(all="ignore"):   # steps past a lane's stop may overflow
             ys = trajectory(sys, pts, L, u, seq, t)
             steps = t + 1 + np.arange(L)[:, None]
@@ -372,11 +379,14 @@ def _orbit_block(sys, starts, grid, n_max, tol, stall, u, seq) -> _Lanes:
         events = np.stack([
             revisit,
             _first_step(~ok, steps),
+            np.full(m, _NEVER) if target is None else
+            _first_step(new & target[cells.reshape(L, m)], steps),
             _first_step(ok & ~new & (steps - ln >= stall), steps),
         ])
         reason, at = events.argmin(axis=0), events.min(axis=0)
         done = at < _NEVER
-        n_kept = np.minimum(np.where(reason == STALL, at, at - 1), t + L) - t
+        # a HIT or STALL point is kept, a REVISIT or OUTSIDE one is not
+        n_kept = np.minimum(np.where(reason >= HIT, at, at - 1), t + L) - t
         kept = np.arange(L)[:, None] < n_kept
         add = np.sort(keys[(new & kept).ravel()])
         seen = np.insert(seen, np.searchsorted(seen, add), add)
@@ -399,7 +409,7 @@ def _orbit_block(sys, starts, grid, n_max, tol, stall, u, seq) -> _Lanes:
     return out
 
 
-def run_trees(sys, starts, grid, max_sweeps):
+def run_trees(sys, starts, grid, max_sweeps, target=None):
     """Breadth-first control trees from ``starts``, one lane each; yields one
     ``_Lanes`` per block of lanes (see ``_blocks``).
 
@@ -407,21 +417,34 @@ def run_trees(sys, starts, grid, max_sweeps):
     image_points call per control for the block) and keeps, per lane, the
     images that land in a cell new to the lane, first in (point, control)
     order.  A lane converges when a sweep keeps nothing; it runs at most
-    ``max_sweeps`` sweeps, and a point outside the domain stops it.
+    ``max_sweeps`` sweeps, and a point outside the domain stops it.  Given
+    the flat cell mask ``target``, a lane stops (HIT) once it keeps a cell in
+    the target: its start, or a cell a sweep kept.
     """
-    return _blocks(lambda block: _tree_block(sys, block, grid, max_sweeps), starts)
+    return _blocks(lambda block: _tree_block(sys, block, grid, max_sweeps, target), starts)
 
 
-def _tree_block(sys, starts, grid, max_sweeps) -> _Lanes:
+def _tree_block(sys, starts, grid, max_sweeps, target) -> _Lanes:
     dom, n, d = grid.domain, grid.n_cells, grid.domain.ndim
     out = _Lanes(grid, len(starts))
+
+    def drop_hits(lane, pts, cells):
+        if target is None:
+            return lane, pts
+        hit = np.unique(lane[target[cells]])
+        out.reason[hit] = HIT
+        on = ~np.isin(lane, hit)
+        return lane[on], pts[on]
+
     lane = np.arange(len(starts))
     ok = dom.inside(starts)
     for b in lane[~ok]:
         out.fail(b, starts[b])
     lane, pts = lane[ok], starts[ok]
-    seen = lane * n + grid.cells_of(pts)
+    cells = grid.cells_of(pts)
+    seen = lane * n + cells
     out.kept.append((lane, pts))
+    lane, pts = drop_hits(lane, pts, cells)
     for _ in range(max(max_sweeps, 0)):
         if not lane.size:
             break
@@ -435,14 +458,16 @@ def _tree_block(sys, starts, grid, max_sweeps) -> _Lanes:
                 out.fail(b, ys[i])
             on = ~np.isin(ly, bad)
             ys, ly = ys[on], ly[on]
-        keys = ly * n + grid.cells_of(ys)
+        cells = grid.cells_of(ys)
+        keys = ly * n + cells
         first = np.unique(keys, return_index=True)[1]
         first = np.sort(first[~_member(seen, keys[first])])
         seen = np.sort(np.concatenate([seen, keys[first]]))
         lane, pts = ly[first], ys[first]
         out.kept.append((lane, pts))
+        lane, pts = drop_hits(lane, pts, cells[first])
     out.keys, out.steps_used = seen, out.stop
-    out.converged = out.reason == BUDGET
+    out.converged = out.reason != OUTSIDE
     out.converged[lane] = False
-    out.reason[out.converged] = STALL
+    out.reason[out.converged & (out.reason == BUDGET)] = STALL
     return out

@@ -23,7 +23,10 @@ arrays and set-valued steps run as difference-array sweeps in O(m).
 Two-dimensional graphs use an explicit sparse boolean matrix, built from the
 kernel's int32 (source, candidate) pairs, which it makes a chunk of sources
 at a time in windows around the image balls, dropping images that are not
-candidates; its sweeps run in bool, where a sum is an OR and cannot wrap.
+candidates.  A forward sweep gathers the successors from the frontier's
+rows, or runs one bool matvec when the frontier holds over a third of the
+edges; a backward sweep is a bool matvec, where a sum is an OR and cannot
+wrap.
 For the SCC pass a 1-D graph lays its ranges out as CSR in place, 12 bytes
 per edge (int32 indices, float64 data: scipy copies neither), each cell's
 ranges merged first: scipy's strong ``connected_components`` (1.17) can hang
@@ -38,6 +41,9 @@ from scipy.sparse.csgraph import connected_components
 from .errors import EmptySetError, GridMismatchError, ResolutionError
 from .geometry import CellSet, Grid, _range_union
 from .systems import System, _cell_images, _check_edge_cap
+
+# frontier edges per chunk of a 2-D forward sweep; bounds its scratch memory
+_GATHER_EDGES = 1 << 20
 
 
 class _RangeGraph:
@@ -84,7 +90,11 @@ class _RangeGraph:
                       axis=0)
 
     def edge_count(self) -> int:
-        return int(self.length.sum())
+        """Distinct edges: ranges of several controls may share a cell; one
+        control's range never repeats one."""
+        if self.length.shape[0] == 1:
+            return int(self.length.sum())
+        return int(self._disjoint_ranges()[2].sum())
 
     def to_csr(self) -> sp.csr_matrix:
         """The adjacency as CSR at 12 bytes per edge; row c lists c's
@@ -133,7 +143,18 @@ class _CsrGraph:
         return np.sort(self.m.indices[self.m.indptr[c]:self.m.indptr[c + 1]])
 
     def image_of(self, mask: np.ndarray) -> np.ndarray:
-        return (mask.reshape(-1) @ self.m).reshape(mask.shape)
+        """The successors of the ``mask`` rows, gathered from those CSR rows a
+        chunk of about _GATHER_EDGES edges at a time."""
+        rows, ptr = np.flatnonzero(mask.reshape(-1)), self.m.indptr
+        edges = np.cumsum(ptr[rows + 1] - ptr[rows])
+        total = int(edges[-1]) if rows.size else 0
+        if 3 * total > self.m.nnz:   # a dense frontier: one matvec reads less
+            return (mask.reshape(-1) @ self.m).reshape(mask.shape)
+        out = np.zeros(self.n, bool)
+        for part in np.split(rows, np.searchsorted(
+                edges, np.arange(_GATHER_EDGES, total, _GATHER_EDGES))):
+            out[self.m[part].indices] = True
+        return out.reshape(mask.shape)
 
     def preimage_of(self, mask: np.ndarray) -> np.ndarray:
         return (self.m @ mask.reshape(-1)).reshape(mask.shape)

@@ -7,6 +7,7 @@ The CSR built in place merges each cell's ranges first, so it must equal the
 oracle entry for entry.
 """
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from chainscope import systems
+from chainscope import systems, transition
 from chainscope.errors import ResourceLimitError
 from chainscope.geometry import CellSet, Domain, Grid
 from chainscope.systems import affine2d, drift_control, logistic, rotation, square
 from chainscope.transition import (
     TransitionGraph,
+    _CsrGraph,
     _RangeGraph,
     build_graph,
     recurrent_cells,
@@ -150,6 +152,22 @@ def test_2d_sweeps_match_integer_matvec(cells, diameters):
             cells_ = CellSet(grid, mask.reshape(grid.shape))
             assert np.array_equal(g.image_of(cells_).mask.reshape(-1), vec @ m > 0)
             assert np.array_equal(g.preimage_of(cells_).mask.reshape(-1), m @ vec > 0)
+
+
+@SETTINGS
+@given(n=st.integers(0, 60), density=st.sampled_from([0.0, 0.02, 0.2, 0.9]),
+       frontier=st.sampled_from([0.0, 0.05, 0.3, 1.0]), chunk=st.integers(1, 50),
+       seed=st.integers(0, 2 ** 16))
+def test_2d_forward_sweep_gathers_what_the_bool_matvec_reads(n, density, frontier,
+                                                            chunk, seed):
+    """Frontier rows gathered in chunks of ``chunk`` edges (a row may hold
+    more), or one matvec for a dense frontier: the same image."""
+    rng = np.random.default_rng(seed)
+    m = sp.random(n, n, density, format="csr", random_state=rng, dtype=float) != 0
+    mask = rng.random(n) < frontier
+    with mock.patch.object(transition, "_GATHER_EDGES", chunk):
+        got = _CsrGraph(m).image_of(mask)
+    assert got.dtype == bool and np.array_equal(got, mask @ m)
 
 
 # --------------------------------------------------------------------------

@@ -91,9 +91,13 @@ class PointMemory:
         self.buckets.setdefault(self._key(p), []).append(p.copy())
 
 
-def orbit_single(sys, p0, grid, seq, max_steps, tol, stall):
+def orbit_single(sys, p0, grid, seq, max_steps, tol, stall, target=None):
+    """(cells, steps used, converged, points, stop reason); given the flat
+    cell mask ``target``, the orbit stops at its first kept cell in it."""
     mask = np.zeros(grid.n_cells, dtype=bool)
     mask[grid.cell_of(p0)] = True
+    if target is not None and target[grid.cell_of(p0)]:
+        return mask, 0, True, p0[None, :].copy(), orbits.HIT
     memory = PointMemory(sys.domain, tol)
     memory.add(p0)
     points = [p0.copy()]
@@ -106,8 +110,7 @@ def orbit_single(sys, p0, grid, seq, max_steps, tol, stall):
         u = seq[step - 1] if seq is not None else sys.controls[0]
         y = sys.image_points(pt[None, :], u)[0]
         if memory.seen(y):
-            converged = True
-            steps_used = step
+            converged, steps_used, reason = True, step, orbits.REVISIT
             break
         memory.add(y)
         points.append(y.copy())
@@ -115,24 +118,31 @@ def orbit_single(sys, p0, grid, seq, max_steps, tol, stall):
         if not mask[c]:
             mask[c] = True
             last_new = step
+            if target is not None and target[c]:
+                converged, steps_used, reason = True, step, orbits.HIT
+                break
         elif step - last_new >= stall:
-            converged = True
-            steps_used = last_new
+            converged, steps_used, reason = True, last_new, orbits.STALL
             break
         pt = y
     else:
         steps_used = min(n_steps, max_steps)
         converged = seq is not None and n_steps <= max_steps
-    return mask, steps_used, converged, np.array(points)
+        reason = orbits.BUDGET
+    return mask, steps_used, converged, np.array(points), reason
 
 
-def orbit_tree(sys, p0, grid, max_sweeps):
+def orbit_tree(sys, p0, grid, max_sweeps, target=None):
+    """(cells, sweeps, converged, points, stop reason); given the flat cell
+    mask ``target``, the tree stops after the sweep that keeps a cell in it."""
     mask = np.zeros(grid.n_cells, dtype=bool)
     mask[grid.cell_of(p0)] = True
     frontier = [p0.copy()]
     points = [p0.copy()]
     sweeps = 0
-    converged = False
+    if target is not None and target[grid.cell_of(p0)]:
+        return mask, sweeps, True, np.array(points), orbits.HIT
+    converged, reason = False, orbits.BUDGET
     while frontier:
         if sweeps >= max_sweeps:
             break
@@ -147,20 +157,23 @@ def orbit_tree(sys, p0, grid, max_sweeps):
                     nxt.append(y)
                     points.append(y.copy())
         frontier = nxt
+        if target is not None and any(target[grid.cell_of(y)] for y in nxt):
+            converged, reason = True, orbits.HIT
+            break
     else:
-        converged = True
-    return mask, sweeps, converged, np.array(points)
+        converged, reason = True, orbits.STALL
+    return mask, sweeps, converged, np.array(points), reason
 
 
 def oracle_reach(sys, x, grid, policy="all", max_steps=200_000, tol=1e-12,
-                 stall=None):
+                 stall=None, target=None):
     p0 = sys.domain.canon(x)
     if stall is None:
         stall = min(max(8 * max(grid.cells_per_dim), 256), 50_000)
     if sys.multivalued and isinstance(policy, str):
-        return orbit_tree(sys, p0, grid, max_steps)
+        return orbit_tree(sys, p0, grid, max_steps, target)
     seq = None if isinstance(policy, str) else [sys._resolve_control(u) for u in policy]
-    return orbit_single(sys, p0, grid, seq, max_steps, tol, stall)
+    return orbit_single(sys, p0, grid, seq, max_steps, tol, stall, target)
 
 
 def oracle_omega(sys, x, grid, burn_in=10_000, window=2048, max_steps=300_000,
@@ -248,7 +261,7 @@ def oracle_basin(sys, a_set, levels, orbit_max_steps=100_000):
 
 
 def assert_same(res, want):
-    mask, steps, converged, points = want
+    mask, steps, converged, points = want[:4]
     assert np.array_equal(res.cells.mask.reshape(-1), mask)
     assert res.points.shape == points.shape
     assert res.points.tobytes() == points.tobytes()
@@ -380,6 +393,74 @@ def test_blocks_run_lazily_double_and_shrink_for_long_orbits():
         sizes = [blk.n_lanes for blk in
                  reach_lanes(rotation(GOLDEN), starts[:8], Grid(CIRCLE, 512), 100_000)]
     assert sizes[0] == 1 and max(sizes) <= 2 and sum(sizes) == 8
+
+
+def counting(sys):
+    """``sys`` with a counter of its map calls (image_points calls)."""
+    calls = [0]
+
+    def f(pts, u):
+        calls[0] += 1
+        return sys.map_fn(pts, u)
+
+    return System(sys.name, sys.domain, sys.params, sys.controls, sys.lipschitz, f), calls
+
+
+def test_stall_stopped_orbit_runs_no_step_past_its_stop():
+    """At 1024 cells the golden orbit from 0.1 finds its last new cell at
+    step 1590 and stall-stops 8192 steps later; doubling chunks alone would
+    run on to step 16,376 (8 + 16 + ... + 8192)."""
+    sys, calls = counting(rotation(GOLDEN))
+    grid = Grid(CIRCLE, 1024)
+    res = orbit_reach(sys, 0.1, grid)
+    assert (res.steps_used, res.converged, len(res.cells)) == (1590, True, 1024)
+    assert calls[0] == 1590 + 8192 == 9782
+    assert_same(res, oracle_reach(rotation(GOLDEN), 0.1, grid))
+
+
+# the self-maps of SYSTEMS, and a map whose orbits leave the domain
+LANE_SYSTEMS = {**SYSTEMS, "leaving": (lambda: scaled(1.5), Grid(BOX, 64))}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(LANE_SYSTEMS)),
+    unit=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=2, max_size=24),
+    stall=st.sampled_from([0, 1, 5, 40, 200]),
+    max_steps=st.sampled_from([0, 3, 60, 5000]),
+    tol=st.sampled_from([1e-12, 0.0]),
+    density=st.sampled_from([None, 0.0, 0.05, 0.3]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_lanes_with_staggered_stops_equal_the_oracle(name, unit, stall, max_steps,
+                                                     tol, density, seed):
+    """Many lanes per block, each stopping at its own step (so chunks end at
+    the block's earliest possible stall), with and without a target: every
+    lane equals the per-step oracle, its stop reason included."""
+    make, grid = LANE_SYSTEMS[name]
+    sys = make()
+    lo, hi = sys.domain.bounds[:, 0], sys.domain.bounds[:, 1]
+    starts = np.array([sys.domain.canon(lo + np.array(u[:sys.domain.ndim]) * (hi - lo))
+                       for u in unit])
+    target = (None if density is None
+              else np.random.default_rng(seed).random(grid.n_cells) < density)
+    kw = {"max_steps": max_steps, "tol": tol, "stall": stall, "target": target}
+    with mock.patch.object(orbits, "_LANE_BLOCK", 8), \
+            mock.patch.object(orbits, "_CHUNK_LANE_STEPS", 64), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lanes = [(blk, b) for blk in reach_lanes(sys, starts, grid, **kw)
+                 for b in range(blk.n_lanes)]
+    for (blk, b), x in zip(lanes, starts, strict=True):
+        want = oracle_outcome(sys, x, grid, **kw)
+        if isinstance(want, str):
+            assert blk.reason[b] == orbits.OUTSIDE
+            with pytest.raises(DomainError) as got:
+                blk.reach(b)
+            assert str(got.value) == want
+        else:
+            assert_same(blk.reach(b), want)
+            assert blk.reason[b] == want[4]
 
 
 def oracle_outcome(sys, x, grid, **kw):
@@ -538,6 +619,25 @@ def test_weak_basin_raises_where_the_oracle_reads_a_leaving_orbit():
     with pytest.raises(DomainError) as got:
         weak_basin(sys, a, levels=1)
     assert str(got.value) == str(want.value) == "point array([1.26953125]) outside domain"
+
+
+def test_weak_basin_counts_an_orbit_that_hits_and_then_leaves():
+    """Below 0.03 probes halve, from 0.03 to 0.07 they jump out of [0, 1], and
+    above that they halve: every orbit enters the target (cells 0..5 around
+    cell 0) and then leaves.  An orbit stops at its first cell in the target,
+    so every cell is in the basin, where the oracle, which follows each
+    orbit to its end, raises at the first point outside."""
+
+    def f(pts, u):
+        return np.where((pts >= 0.03) & (pts < 0.07), 2.0, pts / 2)
+
+    sys = System("hit-then-leave", BOX, {}, (None,), 1.0, f)
+    grid = Grid(BOX, 64)
+    a = CellSet.from_indices(grid, [0])
+    assert np.array_equal(fatten(a, 4.0 * grid.cell_diameter).indices(), np.arange(6))
+    with pytest.raises(DomainError, match="outside domain"):
+        oracle_basin(sys, a, 1)
+    assert weak_basin(sys, a, levels=1) == CellSet.full(grid)
 
 
 # --------------------------------------------------------------------------

@@ -122,6 +122,7 @@ def test_candidate_graph_is_the_induced_subgraph(case, density, seed):
     assert np.array_equal(g.cells, idx)
     got = g.to_csr()
     assert got.shape == want.shape and (got != want).nnz == 0
+    assert g.edge_count() == got.nnz and dense.edge_count() == dense.to_csr().nnz
     assert np.array_equal(g.self_loops(), want.diagonal() > 0)
     for c in idx[:5]:
         assert np.array_equal(g.successors(c),
@@ -144,6 +145,14 @@ def test_candidate_graph_is_the_induced_subgraph(case, density, seed):
                 break
             reached = nxt
         assert forward_reach(g, start) == CellSet.from_indices(grid, idx[reached])
+
+
+def test_edge_count_counts_an_edge_of_several_controls_once():
+    """All three controls of drift_control map the one candidate onto itself."""
+    factory, domain = CASES["drift_control"]
+    grid = Grid(domain, 3)
+    g = build_graph(factory(), grid, 1e300, CellSet.from_indices(grid, [1]))
+    assert g.edge_count() == g.to_csr().nnz == 1
 
 
 @pytest.mark.parametrize("name", ["square", "rotation", "drift_control", "affine2d"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainscope.errors import ControlError, SelfMapError
 from chainscope.geometry import CellSet, Domain, Grid
@@ -56,6 +58,18 @@ def test_affine2d_corner_check():
 def test_logistic_parameter_range():
     with pytest.raises(ValueError):
         logistic(4.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(r=st.sampled_from([0.5, 2.8, 3.7, 4.0]), xs=st.lists(st.floats(), max_size=40))
+def test_logistic_clamp_equals_np_clip(r, xs):
+    """The map clamps with np.minimum/np.maximum; bit for bit np.clip's
+    result, signed zeros and NaN included."""
+    pts = np.array(xs, dtype=float).reshape(-1, 1)
+    with np.errstate(all="ignore"):
+        want = np.clip(r * pts * (1.0 - pts), 0.0, 1.0)
+        got = logistic(r).image_points(pts, None)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_lipschitz_bound_sampled():
