@@ -30,7 +30,6 @@ from .minimal import dichotomy_report, minimal_sets, weak_basin
 from .reachability import (
     chain_reach,
     find_uniform_delta,
-    max_cells_cap,
     orbit_reach,
     robustness_check,
     semicontinuity_probe,
@@ -107,11 +106,6 @@ def canonical_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise ValueError(f"cannot serialize {type(obj)!r}")
-
-
-def cells_csv(cells: CellSet) -> str:
-    """Sidecar cell dump: per-dimension integer indices, lexicographic."""
-    return cells.dumps()
 
 
 def witness_csv(rows, ndim: int) -> str:
@@ -233,11 +227,23 @@ def _build_system(cfg: dict):
     if "domain" in cfg:
         if spec["name"] != "affine2d":
             raise ConfigError("'domain' override is only supported for affine2d")
-        params["bounds"] = cfg["domain"]["bounds"]
+        params["bounds"] = _domain_bounds(cfg["domain"])
     try:
         return make_system(spec["name"], params)
     except (TypeError, ValueError, ChainscopeError) as exc:
         raise ConfigError(f"cannot build system: {exc}") from exc
+
+
+def _domain_bounds(raw) -> list:
+    """The bounds of a 'domain' override: {"bounds": [[lo, hi], [lo, hi]]}."""
+    bounds = raw.get("bounds") if isinstance(raw, dict) and set(raw) == {"bounds"} else None
+    if (not isinstance(bounds, list) or len(bounds) != 2
+            or any(not isinstance(b, list) or len(b) != 2 for b in bounds)):
+        raise ConfigError(
+            "key 'domain' must be an object {\"bounds\": [[lo, hi], [lo, hi]]}")
+    if any(_number("domain", lo) >= _number("domain", hi) for lo, hi in bounds):
+        raise ConfigError("key 'domain' needs lo < hi in each bound")
+    return bounds
 
 
 def _build_grid(cfg: dict, system) -> Grid:
@@ -250,15 +256,9 @@ def _build_grid(cfg: dict, system) -> Grid:
     cells = [_number("cells_per_dim", v, integer=True)
              for v in _as_list(gspec["cells_per_dim"])]
     try:
-        grid = Grid(system.domain, cells)
+        return Grid(system.domain, cells)
     except ValueError as exc:
         raise ConfigError(f"key 'cells_per_dim': {exc}") from exc
-    cap = max_cells_cap()
-    if grid.n_cells > cap:
-        raise ResourceLimitError(
-            f"grid has {grid.n_cells} cells, above CHAINSCOPE_MAX_CELLS={cap}"
-        )
-    return grid
 
 
 def _as_list(raw) -> list:
@@ -319,7 +319,7 @@ def _run_reach(cfg, system, grid):
     outcome = res.as_record()
     outcome["cells_file"] = "reach_cells.csv"
     work = {"map_steps": res.steps_used}
-    return EXIT_OK, outcome, work, {"reach_cells.csv": cells_csv(res.cells)}
+    return EXIT_OK, outcome, work, {"reach_cells.csv": res.cells.dumps()}
 
 
 def _run_chainreach(cfg, system, grid):
@@ -330,7 +330,7 @@ def _run_chainreach(cfg, system, grid):
     outcome = res.as_record()
     outcome["final_cells_file"] = "chainreach_final.csv"
     work = {"levels": len(res.levels)}
-    return EXIT_OK, outcome, work, {"chainreach_final.csv": cells_csv(res.final)}
+    return EXIT_OK, outcome, work, {"chainreach_final.csv": res.final.dumps()}
 
 
 def _run_robust(cfg, system, grid):
@@ -363,7 +363,7 @@ def _run_minimal(cfg, system, grid):
     for i, comp in enumerate(census.components):
         name = f"minimal_component_{i}.csv"
         outcome["components"][i]["cells_file"] = name
-        sidecars[name] = cells_csv(comp.cells)
+        sidecars[name] = comp.cells.dumps()
     work = {"levels": levels,
             "finest_components": len(census.components)}
     return EXIT_OK, outcome, work, sidecars
@@ -388,7 +388,7 @@ def _run_basin(cfg, system, grid):
         "basin_file": "basin_cells.csv",
     }
     work = {"levels": levels}
-    return EXIT_OK, outcome, work, {"basin_cells.csv": cells_csv(basin)}
+    return EXIT_OK, outcome, work, {"basin_cells.csv": basin.dumps()}
 
 
 def _run_dichotomy(cfg, system, grid):
@@ -406,7 +406,7 @@ def _run_dichotomy(cfg, system, grid):
     for i, comp in enumerate(rep.census.components):
         name = f"dichotomy_component_{i}.csv"
         outcome["components"][i]["cells_file"] = name
-        sidecars[name] = cells_csv(comp.cells)
+        sidecars[name] = comp.cells.dumps()
     work = {
         "components": len(rep.census.components),
         "samples": len(rep.sample_points),
@@ -442,8 +442,7 @@ def _verify_uniform_delta(cfg, system, grid):
     instances = int(cfg.get("instances", 10))
     n_max = int(cfg.get("n_max", 200))
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    floor = 4.0 * grid.cell_diameter
-    eps_lo = max(0.05, 8 * floor)
+    eps_lo = max(0.05, 8 * grid.resolution_floor)
     eps_hi = max(0.2, 2 * eps_lo)
     results = []
     failing = None

@@ -18,7 +18,7 @@ class SelfMapError(ChainscopeError):
 
 
 class ResolutionError(ChainscopeError):
-    """A fattening radius is too small for the grid (eps < 4 * cell diameter)."""
+    """A fattening radius is below the grid's ``resolution_floor``."""
 
 
 class EmptySetError(ChainscopeError):

@@ -12,12 +12,24 @@ here over-approximate, never under-approximate.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DomainError, EmptySetError, GridMismatchError
+from .errors import (
+    ConfigError,
+    DomainError,
+    EmptySetError,
+    GridMismatchError,
+    ResolutionError,
+    ResourceLimitError,
+)
+
+# a graph on a grid is sound only for fattening radii of at least this many
+# cell diameters: the fattening must dominate the discretization error
+_FLOOR_DIAMETERS = 4.0
 
 
 def as_point(x) -> np.ndarray:
@@ -127,12 +139,30 @@ def _axis_index(x, lo, h, n, wrap):
     return np.clip(t, 0, n - 1)
 
 
+def max_cells_cap() -> int:
+    """The grid-size cap: CHAINSCOPE_MAX_CELLS cells, default 2^22."""
+    raw = os.environ.get("CHAINSCOPE_MAX_CELLS")
+    if not raw:
+        return 2 ** 22
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(
+            f"CHAINSCOPE_MAX_CELLS must be a positive integer, got {raw!r}")
+    return cap
+
+
 class Grid:
     """Uniform cell partition of a domain.
 
     Cells are addressed by flat row-major indices.  ``cell_diameter`` is the
     conservative bound sqrt(n) * max_d(width_d / cells_d); every point of a
-    cell is within half that diameter of the cell center.
+    cell is within half that diameter of the cell center.  A grid of more
+    than ``max_cells_cap()`` cells is refused before anything is allocated
+    on it, and a graph on the grid needs a fattening radius of at least
+    ``resolution_floor`` (4 cell diameters).
     """
 
     def __init__(self, domain: Domain, cells_per_dim):
@@ -143,16 +173,21 @@ class Grid:
             raise ValueError("cells_per_dim length must match domain dimension")
         if any(c < 1 for c in cpd):
             raise ValueError("cells_per_dim entries must be positive")
+        self.n_cells, cap = math.prod(cpd), max_cells_cap()
+        if self.n_cells > cap:
+            raise ResourceLimitError(
+                f"a grid of {self.n_cells} cells (cells_per_dim {list(cpd)}) "
+                f"exceeds the cell cap CHAINSCOPE_MAX_CELLS={cap}")
         self.domain = domain
         self.cells_per_dim = cpd
         self.shape = cpd
-        self.n_cells = int(np.prod(cpd))
         self.spacing = domain.widths / np.asarray(cpd, dtype=float)
         self.cell_diameter = float(
             math.sqrt(domain.ndim) * np.max(self.spacing)
             if domain.kind == "box"
             else np.max(self.spacing)
         )
+        self.resolution_floor = _FLOOR_DIAMETERS * self.cell_diameter
         self._centers = None
 
     def __eq__(self, other) -> bool:
@@ -271,15 +306,24 @@ class Grid:
         g1 = np.maximum(np.abs(d1) - 1, 0)[None, :] * self.spacing[1]
         return g0 * g0 + g1 * g1 <= eps * eps
 
+    def check_resolution(self, eps: float, key: str):
+        """Refuse a fattening radius ``eps`` (named ``key``) below the
+        resolution floor."""
+        if eps < self.resolution_floor * (1.0 - 1e-12):
+            raise ResolutionError(
+                f"{key}={eps:g} is below the resolution floor "
+                f"4 * cell diameter = {self.resolution_floor:g}")
+
     def refine(self, factor: int) -> "Grid":
         return Grid(self.domain, tuple(c * factor for c in self.cells_per_dim))
 
 
-def grid_for(domain: Domain, eps: float, coupling: float = 4.0) -> Grid:
-    """Smallest uniform grid whose cell diameter satisfies eps >= coupling * diam."""
+def grid_for(domain: Domain, eps: float) -> Grid:
+    """Smallest uniform grid whose resolution floor is at most eps."""
     root = math.sqrt(domain.ndim) if domain.kind == "box" else 1.0
     cells = tuple(
-        max(1, int(math.ceil(w * coupling * root / eps))) for w in domain.widths
+        max(1, int(math.ceil(w * _FLOOR_DIAMETERS * root / eps)))
+        for w in domain.widths
     )
     return Grid(domain, cells)
 
@@ -372,10 +416,10 @@ class CellSet:
 
     def refine(self, factor: int) -> "CellSet":
         """Same region on a grid refined by an integer factor per dimension."""
-        mask = self.mask
+        grid, mask = self.grid.refine(factor), self.mask   # the cap comes first
         for axis in range(mask.ndim):
             mask = np.repeat(mask, factor, axis=axis)
-        return CellSet(self.grid.refine(factor), mask)
+        return CellSet(grid, mask)
 
     # -- serialization -------------------------------------------------------
     def dumps(self) -> str:

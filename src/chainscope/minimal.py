@@ -24,9 +24,7 @@ from .geometry import CellSet, Grid, fatten, grid_for
 from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory, within
 from .reachability import (
     RobustnessCertificate,
-    _refine_capped,
     default_delta_schedule,
-    max_cells_cap,
     orbit_reach,
     robustness_check,
 )
@@ -146,25 +144,19 @@ def is_graph_invariant(sys: System, cells: CellSet, eps: float) -> bool:
 # classification
 # --------------------------------------------------------------------------
 
-def classify_component(
-    sys: System,
-    comp: CellSet,
-    q_max: int = 64,
-    tol: float | None = None,
-    burn_in: int = 512,
-) -> Classification:
+def classify_component(sys: System, comp: CellSet) -> Classification:
     """Classify a recurrent component from candidate member representatives.
 
-    fixed-point when one map application returns within tolerance; else
-    periodic(q) for the least q up to q_max; else "other".  Multivalued
-    systems are classified under a pinned constant control and flagged.
+    fixed-point when one map application returns within 2 cell diameters;
+    else periodic(q) for the least q up to 64; else "other".  A settled
+    candidate is taken after 512 steps.  Multivalued systems are classified
+    under a pinned constant control and flagged.
     """
     if not comp:
         raise PreconditionError("cannot classify an empty component")
     grid = comp.grid
     dom = sys.domain
-    if tol is None:
-        tol = 2.0 * grid.cell_diameter
+    q_max, tol = 64, 2.0 * grid.cell_diameter
     u = sys.controls[0]
     idx = comp.indices()
     candidates = [
@@ -174,8 +166,8 @@ def classify_component(
     ]
     # a settled point is a better witness for attracting components, but only
     # if burn-in keeps it associated with this component
-    settle = advance(sys, candidates[2][None, :], u, burn_in)[0]
-    if fatten(comp, 4.0 * grid.cell_diameter).mask.reshape(-1)[grid.cell_of(settle)]:
+    settle = advance(sys, candidates[2][None, :], u, 512)[0]
+    if fatten(comp, grid.resolution_floor).mask.reshape(-1)[grid.cell_of(settle)]:
         candidates.append(settle)
 
     # each candidate's first return within tol, the candidates as lanes;
@@ -208,17 +200,6 @@ def _coarsen_indices(idx: np.ndarray, fine: Grid, factor: int) -> np.ndarray:
     return np.ravel_multi_index(coarse_axes, coarse_shape)
 
 
-def _ancestor_of(fine_comp: np.ndarray, coarse_comps: list[np.ndarray],
-                 fine: Grid, factor: int) -> int | None:
-    coarse_cells = np.unique(_coarsen_indices(fine_comp, fine, factor))
-    best, best_overlap = None, 0
-    for i, cc in enumerate(coarse_comps):
-        overlap = np.intersect1d(coarse_cells, cc, assume_unique=True).size
-        if overlap > best_overlap:
-            best, best_overlap = i, overlap
-    return best
-
-
 def minimal_sets(
     sys: System,
     eps0: float,
@@ -234,39 +215,37 @@ def minimal_sets(
     """
     if base_grid is None:
         base_grid = grid_for(sys.domain, eps0)
-    level_comps: list[list[np.ndarray]] = []
-    grids: list[Grid] = []
-    cap = max_cells_cap()
+    counts: list[int] = []
     recurrent = None
     for k in range(levels):
-        grid_k = _refine_capped(base_grid, k, cap)
+        grid_k = base_grid.refine(2 ** k)
         cand = recurrent.refine(2) if k else None
         comps = recurrent_cells(build_graph(sys, grid_k, eps0 / (2 ** k), cand))
         recurrent = CellSet.empty(grid_k)
         for cs in comps:
             recurrent.mask |= cs.mask
-        level_comps.append([cs.indices() for cs in comps])
-        grids.append(grid_k)
-    eps_f = eps0 / (2 ** (levels - 1))
-    grid_f = grids[-1]
+        counts.append(len(comps))
+        if not k:
+            grid_0, comps_0 = grid_k, comps
+    eps_f, grid_f = eps0 / (2 ** (levels - 1)), grid_k
+    finest = [cs.indices() for cs in comps]
 
-    # group finest components by their coarsest-level ancestor
+    # group finest components by their level-0 ancestor: the one holding most
+    # of their coarsened cells, then the one of smallest index.  Every finest
+    # component lies in the refinement of level-0 components, so each has one.
     factor_to_base = 2 ** (levels - 1)
-    groups: dict[tuple, list[int]] = {}
-    for i, comp in enumerate(level_comps[-1]):
-        anc = (
-            _ancestor_of(comp, level_comps[0], grid_f, factor_to_base)
-            if levels > 1 else i
-        )
-        key = ("ancestor", anc) if anc is not None else ("orphan", i)
-        groups.setdefault(key, []).append(i)
+    label_0 = np.full(grid_0.n_cells, -1)
+    for i, cs in enumerate(comps_0):
+        label_0[cs.indices()] = i
+    groups: dict[int, list[int]] = {}
+    for i, comp in enumerate(finest):
+        coarse = np.unique(_coarsen_indices(comp, grid_f, factor_to_base))
+        groups.setdefault(int(np.bincount(label_0[coarse]).argmax()), []).append(i)
 
-    grid_0 = grids[0]
     out = []
-    for key in sorted(groups, key=lambda k: min(level_comps[-1][i][0]
-                                                for i in groups[k])):
+    for key in sorted(groups, key=lambda k: min(finest[i][0] for i in groups[k])):
         members = groups[key]
-        union = np.unique(np.concatenate([level_comps[-1][i] for i in members]))
+        union = np.unique(np.concatenate([finest[i] for i in members]))
         cells = CellSet.from_indices(grid_f, union)
 
         rep = grid_f.cell_center(int(union[0]))
@@ -287,10 +266,10 @@ def minimal_sets(
         # under refinement; a raw measure drop against the coarse ancestor
         # counts as well
         shrinks = False
-        if levels > 1 and key[0] == "ancestor" and not covers:
+        if levels > 1 and not covers:
             scale = factor_to_base ** sys.domain.ndim
-            anc = level_comps[0][key[1]]
-            shrinks = union.size <= SHRINK_RATIO * anc.size * scale
+            anc = comps_0[key]
+            shrinks = union.size <= SHRINK_RATIO * len(anc) * scale
             if not shrinks and orbits:
                 pts = orbits[0].points
                 hull_f = fatten(
@@ -302,7 +281,7 @@ def minimal_sets(
                     eps0 + grid_0.cell_diameter,
                 )
                 exc_f = len(cells - hull_f)
-                exc_0 = len(CellSet.from_indices(grid_0, anc) - hull_0) * scale
+                exc_0 = len(anc - hull_0) * scale
                 shrinks = exc_0 > 0 and exc_f <= SHRINK_RATIO * exc_0
 
         cls = classify_component(sys, cells)
@@ -334,8 +313,7 @@ def minimal_sets(
         count = "1"
     else:
         count = "finite>1"
-    return Census(out, count, eps_f, grid_f,
-                  [len(c) for c in level_comps])
+    return Census(out, count, eps_f, grid_f, counts)
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +324,6 @@ def lyapunov_stability(
     sys: System,
     a_set: CellSet,
     v_eps: float,
-    w_schedule=None,
     invariance_eps: float | None = None,
     orbit_max_steps: int = 100_000,
 ) -> StabilityResult:
@@ -357,19 +334,20 @@ def lyapunov_stability(
     over-approximates).  unstable-witnessed: the graph escapes for every
     tested W and a genuine sampled orbit from next to A leaves V.  Otherwise
     inconclusive; graph fattening alone cannot witness instability because
-    its chains drift even for the identity map.
+    its chains drift even for the identity map.  The graph is built at the
+    grid's resolution floor, and W is tried at the radii of
+    ``default_delta_schedule(v_eps, floor)``.
     """
     grid = a_set.grid
     if not a_set:
         raise PreconditionError("empty invariant-set candidate")
-    inv_eps = invariance_eps if invariance_eps is not None else 4.0 * grid.cell_diameter
+    floor = grid.resolution_floor
+    inv_eps = invariance_eps if invariance_eps is not None else floor
     if not is_graph_invariant(sys, a_set, inv_eps):
         raise PreconditionError("a_set is not forward-invariant at graph level")
-    delta_graph = 4.0 * grid.cell_diameter
-    g = build_graph(sys, grid, delta_graph)
+    g = build_graph(sys, grid, floor)
     v_set = fatten(a_set, v_eps)
-    if w_schedule is None:
-        w_schedule = default_delta_schedule(v_eps, delta_graph)
+    w_schedule = default_delta_schedule(v_eps, floor)
     for w in w_schedule:
         reach = forward_reach(g, fatten(a_set, w))
         if reach.issubset(v_set):
@@ -444,7 +422,8 @@ def weak_basin(
 
     A cell joins the basin when the orbit of every probe point (center and
     closed-cell corners) meets the eps-fattening of A at that level, with
-    eps = 4 * cell diameter; levels are intersected on the finest grid.
+    eps the level grid's resolution floor; levels are intersected on the
+    finest grid.
     Orbit evidence rather than graph chains keeps points like an unstable
     boundary fixed point out of the basin.  ``invariance_eps`` loosens the
     forward-invariance precondition for sets produced at a coarser eps.
@@ -453,15 +432,14 @@ def weak_basin(
     read that leaves the domain before meeting it raises ``DomainError``.
     """
     grid0 = a_set.grid
-    inv = invariance_eps if invariance_eps is not None else 4.0 * grid0.cell_diameter
+    inv = invariance_eps if invariance_eps is not None else grid0.resolution_floor
     if not is_graph_invariant(sys, a_set, inv):
         raise PreconditionError("a_set is not forward-invariant at graph level")
     results = []
-    cap = max_cells_cap()
     for k in range(levels):
-        grid_k = _refine_capped(grid0, k, cap)
+        grid_k = grid0.refine(2 ** k)
         a_k = a_set.refine(2 ** k) if k else a_set.copy()
-        t_mask = fatten(a_k, 4.0 * grid_k.cell_diameter).mask.reshape(-1)
+        t_mask = fatten(a_k, grid_k.resolution_floor).mask.reshape(-1)
         probes = _probe_points(grid_k)
         n_probe = probes.shape[1]
         flat = probes.reshape(-1, probes.shape[-1])

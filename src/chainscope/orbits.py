@@ -118,6 +118,25 @@ class _Lanes:
         self.reason[lane] = OUTSIDE
         self.outside[int(lane)] = point.copy()
 
+    def start(self, starts: np.ndarray, target):
+        """Step 0 of the block: a start outside the domain fails its lane,
+        the others are kept, and a start whose cell lies in the flat mask
+        ``target`` stops its lane (HIT).  Returns the live lanes, their
+        points and the sorted lane * n_cells + cell keys of the kept cells."""
+        ids = np.arange(len(starts))
+        ok = self.grid.domain.inside(starts)
+        for b in ids[~ok]:
+            self.fail(b, starts[b])
+        ids, pts = ids[ok], starts[ok]
+        cells = self.grid.cells_of(pts)
+        self.kept.append((ids, pts))
+        seen = ids * self.grid.n_cells + cells   # sorted, as ids ascend
+        if target is not None:
+            hit = target[cells]
+            self.reason[ids[hit]] = HIT
+            ids, pts = ids[~hit], pts[~hit]
+        return ids, pts, seen
+
     def check(self, lane: int):
         """Raise the DomainError of a lane whose orbit left the domain."""
         if lane in self.outside:
@@ -344,18 +363,7 @@ def _orbit_block(sys, starts, grid, n_max, tol, stall, u, seq, target) -> _Lanes
     """Run the lanes of one block of ``run``."""
     dom, n, d = grid.domain, grid.n_cells, grid.domain.ndim
     out = _Lanes(grid, len(starts))
-    ids = np.arange(len(starts))
-    ok = dom.inside(starts)
-    for b in ids[~ok]:
-        out.fail(b, starts[b])
-    ids, pts = ids[ok], starts[ok]
-    cells = grid.cells_of(pts)
-    seen = ids * n + cells   # sorted, as ids ascend
-    out.kept.append((ids, pts))
-    if target is not None:
-        hit = target[cells]
-        out.reason[ids[hit]] = HIT
-        ids, pts = ids[~hit], pts[~hit]
+    ids, pts, seen = out.start(starts, target)
     held = _Visited(dom, tol, ids, pts)
     last_new = np.zeros(ids.size, np.int64)
     t, span = 0, _FIRST_CHUNK
@@ -436,15 +444,7 @@ def _tree_block(sys, starts, grid, max_sweeps, target) -> _Lanes:
         on = ~np.isin(lane, hit)
         return lane[on], pts[on]
 
-    lane = np.arange(len(starts))
-    ok = dom.inside(starts)
-    for b in lane[~ok]:
-        out.fail(b, starts[b])
-    lane, pts = lane[ok], starts[ok]
-    cells = grid.cells_of(pts)
-    seen = lane * n + cells
-    out.kept.append((lane, pts))
-    lane, pts = drop_hits(lane, pts, cells)
+    lane, pts, seen = out.start(starts, target)
     for _ in range(max(max_sweeps, 0)):
         if not lane.size:
             break

@@ -12,13 +12,11 @@ Every sampled orbit runs in the batched orbit engine of ``orbits``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DomainError,
     InconclusiveError,
     ResolutionError,
@@ -42,35 +40,6 @@ from .transition import (
     forward_reach,
     forward_reach_depths,
 )
-
-DEFAULT_MAX_CELLS = 2 ** 22
-
-
-def max_cells_cap() -> int:
-    """The grid-size cap: CHAINSCOPE_MAX_CELLS cells, default 2^22."""
-    raw = os.environ.get("CHAINSCOPE_MAX_CELLS")
-    if not raw:
-        return DEFAULT_MAX_CELLS
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError(
-            f"CHAINSCOPE_MAX_CELLS must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _refine_capped(grid: Grid, k: int, cap: int, partial=None) -> Grid:
-    """The level-k grid (refined 2^k times), refused before anything is
-    allocated on it when it has more than ``cap`` cells."""
-    fine = grid.refine(2 ** k)
-    if fine.n_cells > cap:
-        raise ResourceLimitError(
-            f"level {k} grid ({fine.n_cells} cells) exceeds the cell cap {cap} "
-            f"(CHAINSCOPE_MAX_CELLS)", partial=partial)
-    return fine
-
 
 def default_delta_schedule(eps: float, floor: float) -> list[float]:
     """Geometric halving from eps/2 down to the resolution floor."""
@@ -163,7 +132,6 @@ def chain_reach(
     eps0: float,
     levels: int,
     fatten_start: bool = False,
-    max_cells: int | None = None,
 ) -> ChainReachResult:
     """Nested graph-reach approximations of the chain reachable set.
 
@@ -173,20 +141,20 @@ def chain_reach(
     Each level after the first builds its graph only on the refinement of
     the level before's reach, which holds all of this level's reach (see the
     README on subdivision).  Stabilization compares the last two levels at
-    the coarser of the two cell diameters.
+    the coarser of the two cell diameters.  A level over the cell cap raises
+    ``ResourceLimitError`` with the levels before it as ``partial``.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if eps0 < 4.0 * start.grid.cell_diameter * (1.0 - 1e-12):
-        raise ResolutionError("eps0 violates resolution coupling on start grid")
-    cap = max_cells if max_cells is not None else max_cells_cap()
+    start.grid.check_resolution(eps0, "eps0")
     out: list[ChainLevel] = []
     for k in range(levels):
         eps_k = eps0 / (2 ** k)
-        grid_k = _refine_capped(
-            start.grid, k, cap,
-            partial=ChainReachResult(out, out[-1].cells if out else start, False),
-        )
+        try:
+            grid_k = start.grid.refine(2 ** k)
+        except ResourceLimitError as exc:
+            exc.partial = ChainReachResult(out, out[-1].cells if out else start, False)
+            raise
         start_k = start.refine(2 ** k) if k else start.copy()
         if fatten_start:
             start_k = fatten(start_k, eps_k)
@@ -238,10 +206,6 @@ class RobustnessCertificate:
             "endpoint_distance": self.endpoint_distance,
             "orbit_steps": self.orbit_steps,
         }
-
-
-def _min_orbit_distance(domain: Domain, p: np.ndarray, orbit_pts: np.ndarray) -> float:
-    return float(nearest_distances(domain, p[None, :], orbit_pts)[0])
 
 
 def _wrapped_delta(domain: Domain, frm: np.ndarray, to: np.ndarray) -> np.ndarray:
@@ -303,12 +267,11 @@ def robustness_check(
         floor = delta_schedule[-1] if delta_schedule else eps / 64.0
         grid = grid_for(sys.domain, floor)
     if delta_schedule is None:
-        delta_schedule = default_delta_schedule(eps, 4.0 * grid.cell_diameter)
+        delta_schedule = default_delta_schedule(eps, grid.resolution_floor)
     schedule = [float(d) for d in delta_schedule]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("delta schedule must be strictly decreasing")
-    if schedule[-1] < 4.0 * grid.cell_diameter * (1.0 - 1e-12):
-        raise ResolutionError("delta schedule ends below 4 * cell diameter")
+    grid.check_resolution(schedule[-1], "delta_schedule")
 
     orbit = orbit_reach(sys, x, grid, max_steps=max_steps)
     if not orbit.converged:
@@ -344,7 +307,7 @@ def robustness_check(
     for a, b in zip(cells, cells[1:]):
         path.append((b, edge_control(last_graph, a, b)))
     rows, z_end = _realize_chain(sys, grid, path, x, 0.99 * delta_min)
-    end_dist = _min_orbit_distance(sys.domain, z_end, orbit.points)
+    end_dist = float(nearest_distances(sys.domain, z_end[None, :], orbit.points)[0])
     if end_dist <= eps:
         rows, z_end, end_dist = _extend_chain(
             sys, rows, z_end, orbit.points, eps, 0.99 * delta_min
@@ -359,11 +322,11 @@ def robustness_check(
     )
 
 
-def _extend_chain(sys, rows, z, orbit_pts, eps, budget, max_extra=400):
+def _extend_chain(sys, rows, z, orbit_pts, eps, budget):
     dom = sys.domain
     step = rows[-1].step
-    best = _min_orbit_distance(dom, z, orbit_pts)
-    for _ in range(max_extra):
+    best = float(nearest_distances(dom, z[None, :], orbit_pts)[0])
+    for _ in range(400):   # extra steps at most
         step += 1
         raws, pushed = [], []
         for u in sys.controls:
@@ -411,7 +374,7 @@ def replay_certificate(sys: System, cert: RobustnessCertificate, x, grid: Grid) 
             if dom.distance(pt, raw) >= cert.delta_min:
                 return False
         prev = pt
-    return _min_orbit_distance(dom, prev, orbit.points) > cert.eps
+    return float(nearest_distances(dom, prev[None, :], orbit.points)[0]) > cert.eps
 
 
 # --------------------------------------------------------------------------
@@ -452,10 +415,9 @@ def find_uniform_delta(
     an error.
     """
     grid = start.grid
-    if eps < 4.0 * grid.cell_diameter * (1.0 - 1e-12):
-        raise ResolutionError("eps violates resolution coupling on start grid")
+    grid.check_resolution(eps, "eps")
     if delta_schedule is None:
-        delta_schedule = default_delta_schedule(eps, 4.0 * grid.cell_diameter)
+        delta_schedule = default_delta_schedule(eps, grid.resolution_floor)
     g_eps = build_graph(sys, grid, eps)
     entries = []
     found = None
@@ -585,7 +547,6 @@ def semicontinuity_probe(
     mode: str,
     delta_schedule=None,
     grid: Grid | None = None,
-    n_samples: int = 32,
     max_steps: int = 200_000,
 ) -> ProbeReport:
     """Probe semicontinuity of the sampled reach multifunction at x.
@@ -593,7 +554,8 @@ def semicontinuity_probe(
     usc mode searches delta with reach(y) inside the eps-fattened reach(x)
     for every sampled y in the delta-ball; lsc mode searches delta with
     reach(x) inside the eps-fattened reach(y) for every sampled y.  Probes
-    are falsifiers and evidence, not proofs.
+    are falsifiers and evidence, not proofs.  Each radius is probed at 32
+    points of its ball.
     """
     if mode not in ("usc", "lsc"):
         raise ValueError("mode must be 'usc' or 'lsc'")
@@ -608,7 +570,7 @@ def semicontinuity_probe(
     violator = None
     for delta in delta_schedule:
         ok = True
-        ys = _ball_samples(sys.domain, x, delta, n_samples).reshape(-1, sys.domain.ndim)
+        ys = _ball_samples(sys.domain, x, delta, 32).reshape(-1, sys.domain.ndim)
         # the samples' orbits run block by block as they are read
         for y, r in zip(ys, reaches(sys, ys, grid, max_steps)):
             if not r.converged:

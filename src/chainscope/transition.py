@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import EmptySetError, GridMismatchError, ResolutionError
+from .errors import EmptySetError, GridMismatchError
 from .geometry import CellSet, Grid, _range_union
 from .systems import System, _cell_images, _check_edge_cap
 
@@ -244,14 +244,10 @@ def build_graph(sys: System, grid: Grid, eps: float,
     """Build the eps-fattened cell transition graph, on the candidate
     ``cells`` only when given (the subgraph they induce).
 
-    Requires eps >= 4 * cell_diameter so the fattening dominates the
+    Requires eps >= grid.resolution_floor so the fattening dominates the
     discretization error; refuses silently unsound builds.
     """
-    if eps < 4.0 * grid.cell_diameter * (1.0 - 1e-12):
-        raise ResolutionError(
-            f"eps={eps:g} below resolution coupling 4*cell_diameter="
-            f"{4.0 * grid.cell_diameter:g}"
-        )
+    grid.check_resolution(eps, "eps")
     if cells is not None and cells.grid != grid:
         raise GridMismatchError("candidate cells live on another grid")
     n = grid.n_cells

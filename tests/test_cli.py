@@ -165,7 +165,21 @@ def test_grid_cap_env(tmp_path, monkeypatch):
     assert run_cli(["robust", "--config", path, "--quiet"]) == 1
 
 
+def test_grid_cap_counts_cells_exactly(tmp_path, monkeypatch, capsys):
+    # 2^64 cells: a product in int64 would wrap to 0 and pass the cap
+    monkeypatch.delenv("CHAINSCOPE_MAX_CELLS", raising=False)
+    cfg = {"system": {"name": "affine2d",
+                      "parameters": {"m": [[0.5, 0.1], [0.0, 0.6]], "b": [0.2, 0.15]}},
+           "grid": {"cells_per_dim": [2 ** 32, 2 ** 32]}, "x": [0.5, 0.5]}
+    path = write_cfg(tmp_path, "huge_grid.json", cfg)
+    assert run_cli(["reach", "--config", path, "--quiet"]) == 1
+    assert "CHAINSCOPE_MAX_CELLS" in capsys.readouterr().err
+
+
 _SQUARE = '"system": {"name": "square"}, "grid": {"cells_per_dim": [64]}'
+_AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
+           '[0.0, 0.6]], "b": [0.2, 0.15]}}, "grid": {"cells_per_dim": [16, 16]}, '
+           '"x": [0.5, 0.5]')
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -190,10 +204,17 @@ _SQUARE = '"system": {"name": "square"}, "grid": {"cells_per_dim": [64]}'
     ("robust", '{"system": {"name": "square", "parameters": "zz"}, '
                '"grid": {"cells_per_dim": [64]}, "x": 0.5, "eps": 0.1}',
      "parameters"),
+    ("reach", '{%s, "domain": 5}' % _AFFINE, "domain"),
+    ("reach", '{%s, "domain": [1, 2]}' % _AFFINE, "domain"),
+    ("reach", '{%s, "domain": {}}' % _AFFINE, "domain"),
+    ("reach", '{%s, "domain": {"bounds": [[0, 1]]}}' % _AFFINE, "domain"),
+    ("reach", '{%s, "domain": {"bounds": [[0, 1], [0, 1]], "extra": 1}}' % _AFFINE,
+     "domain"),
 ], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
         "cells-string", "seed-negative", "levels-bool", "eps-duplicate",
         "policy-string", "policy-number", "policy-unknown-control",
-        "mode-unknown", "parameters-string"])
+        "mode-unknown", "parameters-string", "domain-number", "domain-list",
+        "domain-empty", "domain-one-bound", "domain-extra-key"])
 def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     path = tmp_path / "probe.json"
     path.write_text(text)
@@ -217,6 +238,21 @@ def test_grid_cap_checked_at_every_level(tmp_path, monkeypatch, capsys,
     out = str(tmp_path / "rep.json")
     assert run_cli([command, "--config", path, "--out", out, "--quiet"]) == 1
     assert "CHAINSCOPE_MAX_CELLS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("robust", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+                "x": 0.5, "eps": 0.1, "delta_schedule": [0.05, 0.01]},
+     "delta_schedule"),
+    ("chainreach", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+                    "eps0": 0.01, "levels": 1, "start": [0.5]}, "eps0"),
+], ids=["robust-delta-schedule", "chainreach-eps0"])
+def test_resolution_floor_error_names_key(tmp_path, capsys, command, cfg, key):
+    path = write_cfg(tmp_path, "floor.json", cfg)
+    out = str(tmp_path / "rep.json")
+    assert run_cli([command, "--config", path, "--out", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}=" in err and "resolution floor" in err, err
 
 
 @pytest.mark.parametrize("command,cfg", [

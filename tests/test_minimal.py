@@ -4,6 +4,7 @@ import pytest
 from chainscope.errors import PreconditionError
 from chainscope.geometry import CellSet, Domain, Grid, fatten
 from chainscope.minimal import (
+    _coarsen_indices,
     classify_component,
     dichotomy_report,
     is_graph_invariant,
@@ -13,6 +14,7 @@ from chainscope.minimal import (
     weak_basin,
 )
 from chainscope.systems import (
+    affine2d,
     constant,
     drift_control,
     identity_map,
@@ -20,7 +22,7 @@ from chainscope.systems import (
     rotation,
     square,
 )
-from chainscope.transition import build_graph, forward_reach
+from chainscope.transition import build_graph, forward_reach, recurrent_cells
 
 BOX = Domain.box([[0.0, 1.0]])
 GOLDEN = 0.6180339887
@@ -29,6 +31,63 @@ GOLDEN = 0.6180339887
 # --------------------------------------------------------------------------
 # census
 # --------------------------------------------------------------------------
+
+def _ancestor_of(fine_comp, coarse_comps, fine, factor):
+    """Oracle: the coarse component holding most of the fine component's
+    coarsened cells, the first on a tie; None if it meets none."""
+    coarse_cells = np.unique(_coarsen_indices(fine_comp, fine, factor))
+    best, best_overlap = None, 0
+    for i, cc in enumerate(coarse_comps):
+        overlap = np.intersect1d(coarse_cells, cc, assume_unique=True).size
+        if overlap > best_overlap:
+            best, best_overlap = i, overlap
+    return best
+
+
+def _oracle_groups(sys, eps0, levels, base_grid):
+    """Finest components merged by their level-0 ancestor, one component
+    list per level kept: (cells, fragment count) in census order."""
+    level_comps, recurrent = [], None
+    for k in range(levels):
+        grid = base_grid.refine(2 ** k)
+        cand = recurrent.refine(2) if k else None
+        comps = recurrent_cells(build_graph(sys, grid, eps0 / 2 ** k, cand))
+        recurrent = CellSet.empty(grid)
+        for cs in comps:
+            recurrent.mask |= cs.mask
+        level_comps.append([cs.indices() for cs in comps])
+    groups = {}
+    for i, comp in enumerate(level_comps[-1]):
+        anc = (_ancestor_of(comp, level_comps[0], grid, 2 ** (levels - 1))
+               if levels > 1 else i)
+        assert anc is not None   # every finest component has an ancestor
+        groups.setdefault(anc, []).append(i)
+    merged = [(np.unique(np.concatenate([level_comps[-1][i] for i in m])), len(m))
+              for m in groups.values()]
+    return sorted(merged, key=lambda g: g[0][0]), [len(c) for c in level_comps]
+
+
+AFFINE = affine2d([[0.5, 0.1], [0.0, 0.6]], [0.2, 0.15])
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("sys,eps0,grid", [
+    (logistic(2.8), 0.02, Grid(BOX, 256)),
+    (logistic(3.2), 0.02, Grid(BOX, 256)),
+    (logistic(3.5), 0.01, Grid(BOX, 512)),
+    (square(), 0.1, Grid(BOX, 64)),
+    (rotation(1.0 / 3.0), 4 / 128, Grid(Domain.circle(), 128)),
+    (drift_control(0.5), 0.1, Grid(Domain.box([[-1.0, 1.0]]), 128)),
+    (AFFINE, 0.36, Grid(AFFINE.domain, (16, 16))),
+], ids=["logistic2.8", "logistic3.2", "logistic3.5", "square", "rotation",
+        "drift", "affine2d"])
+def test_census_groups_match_ancestor_oracle(sys, eps0, grid, levels):
+    census = minimal_sets(sys, eps0, levels, base_grid=grid)
+    groups, counts = _oracle_groups(sys, eps0, levels, grid)
+    assert census.level_component_counts == counts
+    assert [(c.cells.indices().tolist(), c.fragment_count)
+            for c in census.components] == [(g.tolist(), n) for g, n in groups]
+
 
 def test_census_square_two_fixed_points():
     census = minimal_sets(square(), 0.02, levels=3, base_grid=Grid(BOX, 256))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,13 +131,38 @@ def test_chain_union_additivity():
         assert (a.cells | b.cells) == u.cells
 
 
-def test_chain_resource_cap():
+def test_chain_resource_cap(monkeypatch):
     start = CellSet.from_points(Grid(BOX, 1024), [[0.5]])
+    monkeypatch.setenv("CHAINSCOPE_MAX_CELLS", "4096")
     with pytest.raises(ResourceLimitError) as exc:
-        chain_reach(identity_map(), start, 4 * (1 / 1024) * 4, 8,
-                    max_cells=4096)
+        chain_reach(identity_map(), start, 4 * (1 / 1024) * 4, 8)
     assert exc.value.partial is not None
     assert len(exc.value.partial.levels) >= 1
+
+
+@pytest.mark.parametrize("cap,call", [
+    ("4096", lambda: robustness_check(square(), 0.5, eps=0.01)),   # derives 25,600 cells
+    ("4096", lambda: semicontinuity_probe(square(), 0.5, 5e-4, "usc")),   # 8,000 cells
+    ("4096", lambda: Grid(BOX, 4097)),
+    ("4096", lambda: CellSet.full(Grid(Domain.box([[0, 1], [0, 1]]), (64, 64))).refine(64)),
+    (None, lambda: robustness_check(square(), 0.5, eps=2e-5)),   # 12.8M cells, default cap
+], ids=["robustness-derived", "semicontinuity-derived", "grid", "cellset-refine",
+        "robustness-default-cap"])
+def test_cell_cap_refuses_before_allocating(monkeypatch, cap, call):
+    """Every grid is checked against the cap where it is made, library
+    calls included, before anything is allocated on it."""
+    if cap is None:
+        monkeypatch.delenv("CHAINSCOPE_MAX_CELLS", raising=False)
+    else:
+        monkeypatch.setenv("CHAINSCOPE_MAX_CELLS", cap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="CHAINSCOPE_MAX_CELLS"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_orbit_inside_chain_reach():
