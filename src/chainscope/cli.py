@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ COMMAND_KEYS = {
     "dichotomy": {"sample_points", "eps0", "levels", "eps", "v_eps",
                   "max_steps"},
     "verify": {"property", "x", "eps", "eps0", "levels", "mode", "n_max",
-               "instances", "start", "delta_schedule"},
+               "instances", "start"},
 }
 COMMANDS = tuple(sorted(COMMAND_KEYS))
 
@@ -62,7 +63,8 @@ COMMANDS = tuple(sorted(COMMAND_KEYS))
 # --------------------------------------------------------------------------
 
 def format_float(x: float) -> str:
-    """Fixed 12-significant-digit rendering (0.1 + 0.2 -> 0.300000000000).
+    """12 significant digits, rounded once, without an exponent
+    (0.1 + 0.2 -> 0.300000000000).
 
     Magnitudes from 1e11 up have no fractional digit left; they end in ".0"
     (1e12 -> 1000000000000.0) so that the report stays valid JSON.
@@ -71,10 +73,8 @@ def format_float(x: float) -> str:
         return "0.000000000000"
     if not np.isfinite(x):
         raise ValueError("reports must not contain non-finite floats")
-    out = np.format_float_positional(
-        float(x), precision=12, unique=False, fractional=False, trim="k"
-    )
-    return out + "0" if out.endswith(".") else out
+    out = format(Decimal(f"{x:.11e}"), "f")
+    return out if "." in out else out + ".0"
 
 
 def canonical_dumps(obj, indent: int = 0) -> str:
@@ -265,24 +265,28 @@ def _as_list(raw) -> list:
     return raw if isinstance(raw, list) else [raw]
 
 
-def _coords(key: str, raw) -> list[float]:
-    """A point given as a number or a list of coordinates."""
-    return [float(_number(key, v)) for v in _as_list(raw)]
+def _coords(key: str, raw, domain) -> list[float]:
+    """A point of the domain given as a number or a list of coordinates."""
+    p = [float(_number(key, v)) for v in _as_list(raw)]
+    if not domain.contains(p):
+        raise ConfigError(f"key {key!r}: {p} is not a point of the domain "
+                          f"({domain.ndim}-D {domain.kind})")
+    return p
 
 
-def _point(cfg, key) -> list[float]:
-    return _coords(key, _require(cfg, key))
+def _point(cfg, key, domain) -> list[float]:
+    return _coords(key, _require(cfg, key), domain)
 
 
-def _points(cfg, key) -> list[list[float]]:
+def _points(cfg, key, domain) -> list[list[float]]:
     raw = _require(cfg, key)
-    if not isinstance(raw, list):
-        raise ConfigError(f"key {key!r} must be a list of points")
-    return [_coords(key, p) for p in raw]
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"key {key!r} must be a non-empty list of points")
+    return [_coords(key, p, domain) for p in raw]
 
 
 def _start_cells(cfg, grid) -> CellSet:
-    return CellSet.from_points(grid, _points(cfg, "start"))
+    return CellSet.from_points(grid, _points(cfg, "start", grid.domain))
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +313,7 @@ def run(command: str, cfg: dict):
 def _run_reach(cfg, system, grid):
     try:
         res = orbit_reach(
-            system, _point(cfg, "x"), grid,
+            system, _point(cfg, "x", system.domain), grid,
             policy=cfg.get("policy", "all"),
             max_steps=int(cfg.get("max_steps", 200_000)),
             tol=float(cfg.get("tol", 1e-12)),
@@ -335,7 +339,7 @@ def _run_chainreach(cfg, system, grid):
 
 def _run_robust(cfg, system, grid):
     cert = robustness_check(
-        system, _point(cfg, "x"), _positive(cfg, "eps"),
+        system, _point(cfg, "x", system.domain), _positive(cfg, "eps"),
         delta_schedule=cfg.get("delta_schedule"), grid=grid,
         max_steps=int(cfg.get("max_steps", 200_000)),
     )
@@ -393,7 +397,7 @@ def _run_basin(cfg, system, grid):
 
 def _run_dichotomy(cfg, system, grid):
     rep = dichotomy_report(
-        system, _points(cfg, "sample_points"),
+        system, _points(cfg, "sample_points", system.domain),
         eps0=_positive(cfg, "eps0"),
         levels=_positive(cfg, "levels", int),
         robust_eps=float(cfg.get("eps", 0.1)),
@@ -427,7 +431,7 @@ def _run_verify(cfg, system, grid):
         return code, res.as_record(), {"levels": len(res.per_level)}, {}
     if prop == "semicontinuity":
         rep = semicontinuity_probe(
-            system, _point(cfg, "x"), _positive(cfg, "eps"),
+            system, _point(cfg, "x", system.domain), _positive(cfg, "eps"),
             cfg.get("mode", "usc"), grid=grid,
         )
         code = EXIT_OK if rep.found_delta is not None else EXIT_VERIFY_FAIL

@@ -2,6 +2,7 @@
 
 A domain is either an axis-aligned box in R^n (n <= 2, Euclidean metric) or
 the circle of circumference 1 (coordinates in [0, 1) with wraparound metric).
+``Domain`` alone holds the circle's wrap rule and the metric.
 A grid partitions the domain into uniform cells addressed by flat row-major
 indices.  Point membership follows the half-open convention with the last
 cell closed, so every domain point lies in exactly one cell.  Geometric
@@ -85,9 +86,23 @@ class Domain:
             raise DomainError(
                 f"point has {p.shape[0]} coordinates, domain has {self.ndim}"
             )
+        return self.wrap(p)
+
+    def wrap(self, points: np.ndarray) -> np.ndarray:
+        """Canonical form of a float array: circle coordinates into [0, 1)."""
+        return points % 1.0 if self.kind == "circle" else points
+
+    def project(self, points: np.ndarray) -> np.ndarray:
+        """Into the domain: wrapped on the circle, clipped on a box."""
         if self.kind == "circle":
-            return p % 1.0
-        return p
+            return self.wrap(points)
+        return np.clip(points, self.bounds[:, 0], self.bounds[:, 1])
+
+    def displacement(self, frm: np.ndarray, to: np.ndarray) -> np.ndarray:
+        """``to - frm``, the short way round on the circle."""
+        if self.kind == "circle":
+            return self.wrap(to - frm + 0.5) - 0.5
+        return to - frm
 
     def contains(self, x) -> bool:
         p = as_point(x)
@@ -104,20 +119,17 @@ class Domain:
         return np.all((p >= self.bounds[:, 0]) & (p <= self.bounds[:, 1]), axis=-1)
 
     def distance(self, x, y) -> float:
-        """Metric: Euclidean on boxes, wraparound |x-y| on the circle."""
-        px, py = self.canon(x), self.canon(y)
-        if self.kind == "circle":
-            d = abs(px[0] - py[0])
-            return min(d, 1.0 - d)
-        return float(np.linalg.norm(px - py))
+        """The metric between two points (one row of ``distances``)."""
+        return float(self.distances(self.canon(x), self.canon(y)))
 
-    def distances_to(self, points: np.ndarray, y) -> np.ndarray:
-        """Vectorized distance from each row of ``points`` to the point ``y``."""
-        q = self.canon(y)
+    def distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The metric between points along the last axis, broadcast: min(d,
+        1 - d) on the circle, sqrt of the sum of squares (as cKDTree) on a box."""
+        v = a - b
         if self.kind == "circle":
-            d = np.abs(points[:, 0] - q[0])
+            d = self.wrap(np.abs(v[..., 0]))
             return np.minimum(d, 1.0 - d)
-        return np.linalg.norm(points - q[None, :], axis=1)
+        return np.sqrt(np.sum(v * v, axis=-1))
 
 
 def metric_distance(domain: Domain, x, y) -> float:
@@ -182,11 +194,7 @@ class Grid:
         self.cells_per_dim = cpd
         self.shape = cpd
         self.spacing = domain.widths / np.asarray(cpd, dtype=float)
-        self.cell_diameter = float(
-            math.sqrt(domain.ndim) * np.max(self.spacing)
-            if domain.kind == "box"
-            else np.max(self.spacing)
-        )
+        self.cell_diameter = float(math.sqrt(domain.ndim) * np.max(self.spacing))
         self.resolution_floor = _FLOOR_DIAMETERS * self.cell_diameter
         self._centers = None
 
@@ -208,18 +216,11 @@ class Grid:
         p = self.domain.canon(x)
         if not self.domain.contains(p):
             raise DomainError(f"point {p!r} outside domain")
-        idx = [
-            int(_axis_index(p[d], self.domain.bounds[d, 0], self.spacing[d],
-                            self.cells_per_dim[d], self.wrap))
-            for d in range(self.domain.ndim)
-        ]
-        return int(np.ravel_multi_index(idx, self.shape))
+        return int(self.cells_of(p[None, :])[0])
 
     def cells_of(self, points: np.ndarray) -> np.ndarray:
         """Vectorized cell_of for an (m, d) array of in-domain points."""
-        pts = np.asarray(points, dtype=float)
-        if self.wrap:
-            pts = pts % 1.0
+        pts = self.domain.wrap(np.asarray(points, dtype=float))
         axes = [
             _axis_index(pts[:, d], self.domain.bounds[d, 0], self.spacing[d],
                         self.cells_per_dim[d], self.wrap)
@@ -320,7 +321,7 @@ class Grid:
 
 def grid_for(domain: Domain, eps: float) -> Grid:
     """Smallest uniform grid whose resolution floor is at most eps."""
-    root = math.sqrt(domain.ndim) if domain.kind == "box" else 1.0
+    root = math.sqrt(domain.ndim)
     cells = tuple(
         max(1, int(math.ceil(w * _FLOOR_DIAMETERS * root / eps)))
         for w in domain.widths
@@ -508,15 +509,16 @@ def _dilate(mask: np.ndarray, struct: np.ndarray) -> np.ndarray:
 def nearest_distances(domain: Domain, points: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Distance from each row of ``points`` to the nearest row of ``ref``.
 
-    A sorted search on the circle (the nearest point is a neighbor in cyclic
-    order) and a k-d tree on boxes.
+    In 1-D a sorted search: the nearest point is a neighbor in cyclic
+    order (on a box the wrapped neighbor is never the nearer one).  In 2-D
+    a k-d tree, which computes ``Domain.distances`` bit for bit.
     """
-    if domain.kind == "circle":
-        a = points[:, 0] % 1.0
-        b = np.sort(ref[:, 0])
-        pos = np.searchsorted(b, a)
-        d = np.abs(b[np.stack([pos - 1, pos % b.size])] - a)
-        return np.min(np.minimum(d, 1.0 - d), axis=0)
+    if domain.ndim == 1:
+        a = domain.wrap(points[:, :1])
+        b = np.sort(domain.wrap(ref[:, 0]))
+        pos = np.searchsorted(b, a[:, 0])
+        near = b[np.stack([pos - 1, pos % b.size])]
+        return np.min(domain.distances(near[..., None], a), axis=0)
     return cKDTree(ref).query(points)[0]
 
 

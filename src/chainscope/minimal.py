@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .geometry import CellSet, Grid, fatten, grid_for
-from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory, within
+from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory
 from .reachability import (
     RobustnessCertificate,
     default_delta_schedule,
@@ -155,7 +155,6 @@ def classify_component(sys: System, comp: CellSet) -> Classification:
     if not comp:
         raise PreconditionError("cannot classify an empty component")
     grid = comp.grid
-    dom = sys.domain
     q_max, tol = 64, 2.0 * grid.cell_diameter
     u = sys.controls[0]
     idx = comp.indices()
@@ -174,8 +173,7 @@ def classify_component(sys: System, comp: CellSet) -> Classification:
     # steps past a candidate's return are discarded
     cands = np.array(candidates)
     with np.errstate(all="ignore"):
-        path = trajectory(sys, cands, q_max, u).reshape(-1, dom.ndim)
-        back = within(dom, path, np.tile(cands, (q_max, 1)), tol).reshape(q_max, -1)
+        back = sys.domain.distances(trajectory(sys, cands, q_max, u), cands) <= tol
     period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, q_max + 1)
     control_flag = u if sys.multivalued else None
     if period.min() > q_max:
@@ -347,7 +345,7 @@ def lyapunov_stability(
         raise PreconditionError("a_set is not forward-invariant at graph level")
     g = build_graph(sys, grid, floor)
     v_set = fatten(a_set, v_eps)
-    w_schedule = default_delta_schedule(v_eps, floor)
+    w_schedule = default_delta_schedule(v_eps, floor, "v_eps")
     for w in w_schedule:
         reach = forward_reach(g, fatten(a_set, w))
         if reach.issubset(v_set):
@@ -384,18 +382,16 @@ def lyapunov_stability(
 
 def _probe_points(grid: Grid) -> np.ndarray:
     """(n_cells, 1 + 2^d, d): each cell's center, then the corners of its
-    closed box clipped into the domain, in canonical form."""
+    closed box projected into the domain (``Domain.project``)."""
     dom = grid.domain
     lo = dom.bounds[:, 0] + np.stack(np.unravel_index(
         np.arange(grid.n_cells), grid.shape), axis=1) * grid.spacing
     box = (lo, lo + grid.spacing)
     corners = [
-        np.clip(np.stack([box[c][:, a] for a, c in enumerate(pick)], axis=1),
-                dom.bounds[:, 0], dom.bounds[:, 1])
+        dom.project(np.stack([box[c][:, a] for a, c in enumerate(pick)], axis=1))
         for pick in itertools.product((0, 1), repeat=dom.ndim)
     ]
-    pts = np.stack([grid.centers()] + corners, axis=1)
-    return pts % 1.0 if dom.kind == "circle" else pts
+    return np.stack([grid.centers()] + corners, axis=1)
 
 
 def _first_occurrences(rows: np.ndarray):

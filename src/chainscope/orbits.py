@@ -195,22 +195,6 @@ def advance(sys, pts, u, n: int) -> np.ndarray:
     return pts
 
 
-def within(dom: Domain, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Rows of a and b within tol of each other, decided exactly as
-    ``Domain.distance(p, q) <= tol``."""
-    if dom.kind == "circle":
-        d = np.abs(a[:, 0] - b[:, 0])
-        return np.minimum(d, 1.0 - d) <= tol
-    dist = np.sqrt(np.sum((a - b) ** 2, axis=1))
-    out = dist <= tol
-    # the sum may round its last bit otherwise than Domain.distance's dot
-    # product, so pairs at the threshold are decided by Domain.distance
-    unsure = np.abs(dist - tol) <= 1e-9 * tol if tol > 1e-150 else np.isfinite(dist)
-    for i in np.flatnonzero(unsure):
-        out[i] = dom.distance(a[i], b[i]) <= tol
-    return out
-
-
 def _search_runs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per i, the first position in x[lo[i]:hi[i]], a sorted run, whose value
     is not below v[i] (``searchsorted`` within runs, bisecting all at once)."""
@@ -307,7 +291,7 @@ class _Visited:
             at = np.maximum(step[q], step[p])
             pair = at < best[ln]
             if pair.any():
-                close = within(self.dom, self.pts[q[pair]], self.pts[p[pair]], self.tol)
+                close = self.dom.distances(self.pts[q[pair]], self.pts[p[pair]]) <= self.tol
                 if close.any():
                     np.minimum.at(best, ln[pair][close], at[pair][close])
                     fresh = True

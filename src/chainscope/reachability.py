@@ -41,10 +41,10 @@ from .transition import (
     forward_reach_depths,
 )
 
-def default_delta_schedule(eps: float, floor: float) -> list[float]:
-    """Geometric halving from eps/2 down to the resolution floor."""
+def default_delta_schedule(eps: float, floor: float, key: str = "eps") -> list[float]:
+    """Geometric halving from eps/2 down to the floor; errors call eps ``key``."""
     if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps!r}")
+        raise ValueError(f"{key} must be finite, got {eps!r}")
     vals = []
     v = eps / 2.0
     while v >= floor * (1.0 - 1e-12):
@@ -52,8 +52,8 @@ def default_delta_schedule(eps: float, floor: float) -> list[float]:
         v /= 2.0
     if not vals:
         raise ResolutionError(
-            f"no admissible perturbation radius: eps/2={eps / 2:g} is already "
-            f"below the resolution floor {floor:g}"
+            f"{key}={eps:g} leaves no admissible perturbation radius: "
+            f"{key}/2={eps / 2:g} is already below the resolution floor {floor:g}"
         )
     return vals
 
@@ -208,18 +208,6 @@ class RobustnessCertificate:
         }
 
 
-def _wrapped_delta(domain: Domain, frm: np.ndarray, to: np.ndarray) -> np.ndarray:
-    if domain.kind == "circle":
-        return ((to - frm + 0.5) % 1.0) - 0.5
-    return to - frm
-
-
-def _project(domain: Domain, p: np.ndarray) -> np.ndarray:
-    if domain.kind == "circle":
-        return p % 1.0
-    return np.clip(p, domain.bounds[:, 0], domain.bounds[:, 1])
-
-
 def _realize_chain(sys, grid, path, x0, budget):
     """Follow a graph path with true dynamics plus clipped perturbations.
 
@@ -234,11 +222,11 @@ def _realize_chain(sys, grid, path, x0, budget):
         u = path[i][1]
         raw = sys.image_points(z[None, :], u)[0]
         tgt = grid.cell_center(path[i][0])
-        v = _wrapped_delta(dom, raw, tgt)
-        norm = float(np.linalg.norm(v))
+        v = dom.displacement(raw, tgt)
+        norm = float(dom.distances(raw, tgt))
         if norm > budget:
             v = v * (budget / norm)
-        z = _project(dom, raw + v)
+        z = dom.project(raw + v)
         rows.append(
             WitnessStep(i, tuple(float(t) for t in z), u, dom.distance(z, raw))
         )
@@ -331,12 +319,12 @@ def _extend_chain(sys, rows, z, orbit_pts, eps, budget):
         raws, pushed = [], []
         for u in sys.controls:
             raw = sys.image_points(z[None, :], u)[0]
-            near = orbit_pts[int(np.argmin(dom.distances_to(orbit_pts, raw)))]
-            away = _wrapped_delta(dom, near, raw)
-            norm = float(np.linalg.norm(away))
+            near = orbit_pts[int(np.argmin(dom.distances(orbit_pts, raw)))]
+            away = dom.displacement(near, raw)
+            norm = float(dom.distances(near, raw))
             v = away / norm * budget if norm > 0 else np.zeros_like(raw)
             raws.append(raw)
-            pushed.append(_project(dom, raw + v))
+            pushed.append(dom.project(raw + v))
         # keep the control whose pushed point lands farthest from the orbit
         dists = nearest_distances(dom, np.array(pushed), orbit_pts)
         j = int(np.argmax(dists))
@@ -504,10 +492,7 @@ def _ball_samples(domain: Domain, x, delta: float, n: int) -> np.ndarray:
     if domain.ndim == 1:
         offs = np.array([delta * (2.0 * _van_der_corput(i) - 1.0)
                          for i in range(2, n + 2)])
-        pts = p[0] + offs
-        if domain.kind == "circle":
-            return (pts % 1.0)[:, None]
-        return np.clip(pts, domain.bounds[0, 0], domain.bounds[0, 1])[:, None]
+        return domain.project(p[0] + offs[:, None])
     pts, i = [], 1
     while len(pts) < n and i < 64 * n:
         off = np.array([
@@ -515,7 +500,7 @@ def _ball_samples(domain: Domain, x, delta: float, n: int) -> np.ndarray:
             delta * (2.0 * _van_der_corput(i, 3) - 1.0),
         ])
         if np.linalg.norm(off) < delta:
-            pts.append(np.clip(p + off, domain.bounds[:, 0], domain.bounds[:, 1]))
+            pts.append(domain.project(p + off))
         i += 1
     return np.asarray(pts)
 

@@ -54,11 +54,8 @@ class System:
         return u
 
     def image_points(self, points: np.ndarray, u) -> np.ndarray:
-        """Vectorized raw evaluation; no domain checks."""
-        out = self.map_fn(np.asarray(points, dtype=float), u)
-        if self.domain.kind == "circle":
-            out = out % 1.0
-        return out
+        """Vectorized raw evaluation in canonical form; no domain checks."""
+        return self.domain.wrap(self.map_fn(np.asarray(points, dtype=float), u))
 
     def image_point(self, x, u=None) -> np.ndarray:
         """Evaluate f(x, u) with full domain/control checking."""

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainscope
 from chainscope.cli import (
@@ -36,6 +38,20 @@ def test_float_formatting_rule():
     assert format_float(0.1 + 0.2) == "0.300000000000"
     assert format_float(0.0) == "0.000000000000"
     assert format_float(1.0) == "1.00000000000"
+    assert format_float(0.5) == "0.500000000000"
+    assert format_float(-2.5e-7) == "-0.000000250000000000"
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(x=st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+def test_float_formatting_has_twelve_significant_digits(x):
+    s = format_float(x)
+    assert float(s) == float(f"{x:.11e}")
+    whole, frac = s.lstrip("-").split(".")
+    if len(whole) > 11:   # from 1e11 up: all 12 digits left of the point
+        assert frac == "0" and set(whole[12:]) <= {"0"}
+    else:
+        assert len((whole + frac).lstrip("0")) == 12
 
 
 def test_float_formatting_large_magnitudes_stay_json():
@@ -210,11 +226,22 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
     ("reach", '{%s, "domain": {"bounds": [[0, 1]]}}' % _AFFINE, "domain"),
     ("reach", '{%s, "domain": {"bounds": [[0, 1], [0, 1]], "extra": 1}}' % _AFFINE,
      "domain"),
+    ("robust", '{%s, "x": [0.5, 0.5], "eps": 0.3}' % _SQUARE, "x"),
+    ("robust", '{%s, "x": 5.0, "eps": 0.3}' % _SQUARE, "x"),
+    ("chainreach", '{%s, "start": [], "eps0": 0.1, "levels": 1}' % _SQUARE, "start"),
+    ("dichotomy", '{%s, "sample_points": [7], "eps0": 0.1, "levels": 1}' % _SQUARE,
+     "sample_points"),
+    ("dichotomy", '{%s, "sample_points": [], "eps0": 0.1, "levels": 1}' % _SQUARE,
+     "sample_points"),
+    ("verify", '{%s, "property": "semicontinuity", "x": 0.5, "eps": 0.3, '
+               '"delta_schedule": [1e-9]}' % _SQUARE, "delta_schedule"),
 ], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
         "cells-string", "seed-negative", "levels-bool", "eps-duplicate",
         "policy-string", "policy-number", "policy-unknown-control",
         "mode-unknown", "parameters-string", "domain-number", "domain-list",
-        "domain-empty", "domain-one-bound", "domain-extra-key"])
+        "domain-empty", "domain-one-bound", "domain-extra-key",
+        "x-two-coordinates", "x-outside", "start-empty", "sample-outside",
+        "samples-empty", "verify-delta-schedule"])
 def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     path = tmp_path / "probe.json"
     path.write_text(text)
@@ -246,7 +273,14 @@ def test_grid_cap_checked_at_every_level(tmp_path, monkeypatch, capsys,
      "delta_schedule"),
     ("chainreach", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
                     "eps0": 0.01, "levels": 1, "start": [0.5]}, "eps0"),
-], ids=["robust-delta-schedule", "chainreach-eps0"])
+    # the default schedule starts at half the radius, already below the floor
+    ("robust", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+                "x": 0.5, "eps": 0.1}, "eps"),
+    ("dichotomy", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+                   "eps0": 0.1, "levels": 1, "sample_points": [0.5],
+                   "eps": 0.3, "v_eps": 0.01}, "v_eps"),
+], ids=["robust-delta-schedule", "chainreach-eps0", "robust-eps",
+        "dichotomy-v-eps"])
 def test_resolution_floor_error_names_key(tmp_path, capsys, command, cfg, key):
     path = write_cfg(tmp_path, "floor.json", cfg)
     out = str(tmp_path / "rep.json")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import binary_dilation
+from scipy.spatial import cKDTree
 
 from chainscope.errors import DomainError, EmptySetError, GridMismatchError
 from chainscope.geometry import (
@@ -55,6 +56,38 @@ def test_metric_axioms_on_random_triples():
             assert dxy <= dom.distance(x, z) + dom.distance(z, y) + 1e-12
 
 
+@pytest.mark.parametrize("domain", [CIRCLE, BOX, Domain.box([[0, 1], [-1, 2]])],
+                         ids=["circle", "box1", "box2"])
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_distance_distances_and_nearest_agree_exactly(domain, data):
+    # one metric: the point form, the vectorized form and the nearest-point
+    # search give the same float, to the last bit
+    lo, hi = domain.bounds[:, 0], domain.bounds[:, 1]
+    x, y = (np.array([data.draw(st.floats(a, b)) for a, b in zip(lo, hi)])
+            for _ in range(2))
+    d = domain.distance(x, y)
+    assert d == domain.distances(domain.canon(x), domain.canon(y))
+    assert d == nearest_distances(domain, x[None, :], y[None, :])[0]
+
+
+@pytest.mark.parametrize("domain", [CIRCLE, BOX, Domain.box([[0, 1], [-1, 2]])],
+                         ids=["circle", "box1", "box2"])
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_project_and_displacement(domain, data):
+    lo, hi = domain.bounds[:, 0], domain.bounds[:, 1]
+    frm, to = (np.array([data.draw(st.floats(a, b)) for a, b in zip(lo, hi)])
+               for _ in range(2))
+    v = domain.displacement(frm, to)
+    assert np.all(np.abs(v) <= (0.5 if domain.kind == "circle" else hi - lo))
+    assert domain.distance(frm + v, to) <= 1e-15
+    assert domain.distance(frm, to) == pytest.approx(np.sqrt(np.sum(v * v)), abs=1e-15)
+    far = np.array([data.draw(st.floats(-5, 5)) for _ in lo])
+    assert domain.inside(domain.project(far))
+    assert np.array_equal(domain.project(domain.wrap(frm)), domain.wrap(frm))
+
+
 # --------------------------------------------------------------------------
 # cell_of conventions
 # --------------------------------------------------------------------------
@@ -85,6 +118,39 @@ def test_cells_of_matches_cell_of():
     pts = np.column_stack([rng.uniform(0, 2, 100), rng.uniform(1, 3, 100)])
     flat = g.cells_of(pts)
     assert all(int(flat[i]) == g.cell_of(pts[i]) for i in range(100))
+
+
+@pytest.mark.parametrize("domain,cells", [
+    (BOX, 37), (CIRCLE, 93), (Domain.box([[0, 2], [1, 3]]), (9, 7)),
+])
+def test_cell_of_and_cells_of_match_boundary_oracle(domain, cells):
+    # random points, every float cell boundary lo + i*h and both domain ends;
+    # on the circle also points just below 0, which wrap to (or onto) 1
+    g = Grid(domain, cells)
+    rng = np.random.default_rng(11)
+    axes = []
+    for d, n in enumerate(g.cells_per_dim):
+        lo, hi, h = domain.bounds[d, 0], domain.bounds[d, 1], g.spacing[d]
+        vals = np.concatenate([lo + rng.random(60) * (hi - lo),
+                               lo + np.arange(n + 1) * h, [lo, hi]])
+        if domain.kind == "circle":
+            vals = np.concatenate([vals, [-1e-20, -0.05, 1.0 + 1e-12]])
+        axes.append(vals)
+    m = max(a.size for a in axes)
+    pts = np.stack([rng.permutation(np.resize(a, m)) for a in axes], axis=1)
+
+    def oracle(p):
+        # the count of cell boundaries above lo at or below the coordinate
+        idx = []
+        for d, n in enumerate(g.cells_per_dim):
+            lo, h = domain.bounds[d, 0], g.spacing[d]
+            i = int(np.sum(lo + np.arange(1, n + 1) * h <= p[d]))
+            idx.append(i % n if domain.kind == "circle" else min(i, n - 1))
+        return int(np.ravel_multi_index(idx, g.shape))
+
+    flat = g.cells_of(pts)
+    for p, c in zip(pts, flat):
+        assert g.cell_of(p) == int(c) == oracle(domain.canon(p))
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +322,23 @@ def test_nearest_distances_match_per_point_minimum(domain):
         m, k = rng.integers(1, 40, size=2)
         pts = lo + rng.random((m, domain.ndim)) * width
         ref = lo + rng.random((k, domain.ndim)) * width
-        want = [np.min(domain.distances_to(ref, p)) for p in pts]
+        want = [np.min(domain.distances(ref, p)) for p in pts]
+        assert np.array_equal(nearest_distances(domain, pts, ref), want)
+
+
+@pytest.mark.parametrize("domain", [BOX, Domain.box([[-1.0, 3.0]])])
+def test_nearest_distances_1d_box_match_kdtree(domain):
+    # references on a coarse lattice repeat and tie: points on the lattice
+    # and halfway between lattice points are equally near to two references
+    rng = np.random.default_rng(5)
+    lo, width = domain.bounds[0, 0], domain.widths[0]
+    lattice = lo + np.arange(9) / 8 * width
+    for _ in range(200):
+        ref = rng.choice(lattice, size=rng.integers(1, 12))[:, None]
+        pts = np.concatenate([
+            lattice, (lattice[1:] + lattice[:-1]) / 2,
+            lo + rng.random(20) * width])[:, None]
+        want = cKDTree(ref).query(pts)[0]
         assert np.array_equal(nearest_distances(domain, pts, ref), want)
 
 
