@@ -44,6 +44,12 @@ EXIT_INCONCLUSIVE = 2
 EXIT_VERIFY_FAIL = 3
 
 GLOBAL_KEYS = {"system", "domain", "grid", "seed"}
+# verify reads "property" and the keys of that property only
+VERIFY_KEYS = {
+    "lemma2": {"n_max", "instances"},
+    "initial-fattening": {"start", "eps0", "levels"},
+    "semicontinuity": {"x", "eps", "mode"},
+}
 COMMAND_KEYS = {
     "reach": {"x", "policy", "max_steps", "tol"},
     "chainreach": {"start", "eps0", "levels"},
@@ -52,8 +58,7 @@ COMMAND_KEYS = {
     "basin": {"eps0", "levels", "component"},
     "dichotomy": {"sample_points", "eps0", "levels", "eps", "v_eps",
                   "max_steps"},
-    "verify": {"property", "x", "eps", "eps0", "levels", "mode", "n_max",
-               "instances", "start"},
+    "verify": {"property"}.union(*VERIFY_KEYS.values()),
 }
 COMMANDS = tuple(sorted(COMMAND_KEYS))
 
@@ -194,9 +199,14 @@ def validate_config(command: str, cfg: dict) -> dict:
     if command not in COMMAND_KEYS:
         raise ConfigError(f"unknown command {command!r}")
     allowed = GLOBAL_KEYS | COMMAND_KEYS[command]
+    where = f"command {command!r}"
+    prop = cfg.get("property")
+    if command == "verify" and isinstance(prop, str) and prop in VERIFY_KEYS:
+        allowed = GLOBAL_KEYS | {"property"} | VERIFY_KEYS[prop]
+        where += f" with property {prop!r}"
     for key in cfg:
         if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} for command {command!r}")
+            raise ConfigError(f"unknown key {key!r} for {where}")
     sysspec = _require(cfg, "system")
     if not isinstance(sysspec, dict) or "name" not in sysspec:
         raise ConfigError("key 'system' must be an object with 'name'")

@@ -24,12 +24,13 @@ from .geometry import CellSet, Grid, fatten, grid_for
 from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory
 from .reachability import (
     RobustnessCertificate,
+    _first_true,
     default_delta_schedule,
     orbit_reach,
     robustness_check,
 )
 from .systems import System, _image_union
-from .transition import build_graph, forward_reach, recurrent_cells
+from .transition import _reach_within, build_graph, recurrent_cells
 
 # a component "shrinks" under one refinement when its measure drops below
 # this fraction of its coarse ancestor's measure
@@ -333,8 +334,9 @@ def lyapunov_stability(
     tested W and a genuine sampled orbit from next to A leaves V.  Otherwise
     inconclusive; graph fattening alone cannot witness instability because
     its chains drift even for the identity map.  The graph is built at the
-    grid's resolution floor, and W is tried at the radii of
-    ``default_delta_schedule(v_eps, floor)``.
+    grid's resolution floor, and W is the first radius of
+    ``default_delta_schedule(v_eps, floor)`` that holds: ``fatten(A, w)`` is
+    nested in w, so ``_first_true`` searches the schedule.
     """
     grid = a_set.grid
     if not a_set:
@@ -346,13 +348,12 @@ def lyapunov_stability(
     g = build_graph(sys, grid, floor)
     v_set = fatten(a_set, v_eps)
     w_schedule = default_delta_schedule(v_eps, floor, "v_eps")
-    for w in w_schedule:
-        reach = forward_reach(g, fatten(a_set, w))
-        if reach.issubset(v_set):
-            return StabilityResult("stable-certified", v_eps, float(w))
+    k = _first_true(len(w_schedule), lambda i: _reach_within(
+        g, fatten(a_set, w_schedule[i]), v_set))
+    if k < len(w_schedule):
+        return StabilityResult("stable-certified", v_eps, float(w_schedule[k]))
     # graph escapes for every W; look for a true escaping orbit near A
-    base_reach = forward_reach(g, a_set)
-    if base_reach.issubset(v_set):
+    if _reach_within(g, a_set, v_set):
         return StabilityResult(
             "inconclusive", v_eps, None,
             note="no W certified, but A itself stays in V at graph level",

@@ -34,6 +34,7 @@ from .geometry import (
 from .orbits import ReachResult, reaches
 from .systems import System
 from .transition import (
+    _reach_within,
     build_graph,
     edge_control,
     extract_path,
@@ -56,6 +57,27 @@ def default_delta_schedule(eps: float, floor: float, key: str = "eps") -> list[f
             f"{key}/2={eps / 2:g} is already below the resolution floor {floor:g}"
         )
     return vals
+
+
+def _first_true(n: int, holds) -> int:
+    """The first i in range(n) with ``holds(i)``, or n if there is none, for
+    a ``holds`` that is false on a prefix of range(n) and true on the rest.
+
+    Tries 0, then n - 1, then bisects between them: one call when 0 holds,
+    two when none does, at most 2 + ceil(log2 n) in all.
+    """
+    if holds(0):
+        return 0
+    if n == 1 or not holds(n - 1):
+        return n
+    lo, hi = 0, n - 1   # holds(lo) is false, holds(hi) is true
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # --------------------------------------------------------------------------
@@ -243,9 +265,13 @@ def robustness_check(
 ) -> RobustnessCertificate:
     """Search a perturbation radius whose graph reach stays eps-close to reach.
 
-    Scans the decreasing schedule and certifies the first radius delta whose
-    graph forward reach from x is contained in the eps-fattening of the
-    sampled orbit reach.  If every radius fails, extracts a graph escape path
+    Certifies the first radius delta of the decreasing schedule whose graph
+    forward reach from x is contained in the eps-fattening of the sampled
+    orbit reach.  Containment is monotone in delta, so the schedule is
+    searched (``_first_true``) by sweeps that stop at their first escape;
+    ``checked`` still lists every radius up to the certified one, or all of
+    them, and the entries not swept follow from the monotonicity (README,
+    "Radius ladders").  If every radius fails, extracts a graph escape path
     at the smallest radius and realizes it as a genuine perturbed trajectory
     whose endpoint is farther than eps from every sampled reach point.
     """
@@ -269,31 +295,34 @@ def robustness_check(
     target = fatten(orbit.cells, eps)
     start = CellSet.from_points(grid, [sys.domain.canon(x)])
 
-    checked = []
-    last_graph = None
-    for delta in schedule:
-        g = build_graph(sys, grid, delta)
-        reach = forward_reach(g, start)
-        ok = reach.issubset(target)
-        checked.append((delta, ok))
-        if ok:
-            return RobustnessCertificate(
-                "robust-at-resolution", eps, delta, schedule[-1],
-                grid.cells_per_dim, checked, None, None, orbit.steps_used,
-            )
-        last_graph = g
+    g = None
 
-    # non-robust: realize an escaping chain at the smallest radius
+    def contained(i: int) -> bool:
+        nonlocal g
+        g = None   # one graph alive at a time
+        g = build_graph(sys, grid, schedule[i])
+        return _reach_within(g, start, target)
+
+    k = _first_true(len(schedule), contained)
+    checked = [(delta, i == k) for i, delta in enumerate(schedule[:k + 1])]
+    if k < len(schedule):
+        return RobustnessCertificate(
+            "robust-at-resolution", eps, schedule[k], schedule[-1],
+            grid.cells_per_dim, checked, None, None, orbit.steps_used,
+        )
+
+    # non-robust: realize an escaping chain at the smallest radius, the last
+    # one tried, whose graph g still holds
     delta_min = schedule[-1]
-    reach, depths = forward_reach_depths(last_graph, start)
+    reach, depths = forward_reach_depths(g, start)
     escaped = reach - target
     esc_idx = escaped.indices()
     dists = nearest_distances(sys.domain, grid.centers()[esc_idx], orbit.points)
     witness_cell = int(esc_idx[int(np.argmax(dists))])
-    cells = extract_path(last_graph, depths, witness_cell)
+    cells = extract_path(g, depths, witness_cell)
     path = [(cells[0], None)]
     for a, b in zip(cells, cells[1:]):
-        path.append((b, edge_control(last_graph, a, b)))
+        path.append((b, edge_control(g, a, b)))
     rows, z_end = _realize_chain(sys, grid, path, x, 0.99 * delta_min)
     end_dist = float(nearest_distances(sys.domain, z_end[None, :], orbit.points)[0])
     if end_dist <= eps:

@@ -283,6 +283,8 @@ def drift_control(a: float, controls=(-0.1, 0.0, 0.1)) -> System:
     """x -> a*x + u on [-1, 1] with finite control set; L = |a|."""
     a = float(a)
     controls = tuple(float(u) for u in controls)
+    if not controls:
+        raise ValueError("'controls' must be a non-empty list")
     if abs(a) + max(abs(u) for u in controls) > 1.0:
         raise SelfMapError("drift_control: |a| + max|u| must be <= 1")
 

@@ -273,17 +273,25 @@ def build_graph(sys: System, grid: Grid, eps: float,
 
 
 def _closure(g: TransitionGraph, step, seed: CellSet,
-             depths: np.ndarray | None = None) -> CellSet:
+             depths: np.ndarray | None = None,
+             allowed: CellSet | None = None) -> CellSet | None:
     """Least superset of the seed closed under ``step``, a map of candidate
     masks, by breadth-first sweeps; writes each newly reached candidate's
     sweep number into ``depths``.  Seed cells that are not candidates are
-    kept, and have no edges."""
+    kept, and have no edges.  Given ``allowed``, returns None as soon as a
+    sweep (or the seed) reaches a cell outside it."""
+    if allowed is not None:
+        if not seed.issubset(allowed):
+            return None
+        outside = ~g._gather(allowed.mask)
     frontier = g._gather(seed.mask)
     reached = frontier.copy()
     level = 0
     while frontier.any():
         level += 1
         frontier = step(frontier) & ~reached
+        if allowed is not None and (frontier & outside).any():
+            return None
         reached |= frontier
         if depths is not None:
             depths[frontier] = level
@@ -295,6 +303,14 @@ def forward_reach(g: TransitionGraph, start: CellSet) -> CellSet:
     if not start:
         raise EmptySetError("forward_reach from an empty start set")
     return _closure(g, g._impl.image_of, start)
+
+
+def _reach_within(g: TransitionGraph, start: CellSet, allowed: CellSet) -> bool:
+    """Whether ``forward_reach(g, start)`` lies inside ``allowed``; the sweep
+    stops at the first level that leaves it."""
+    if not start:
+        raise EmptySetError("forward_reach from an empty start set")
+    return _closure(g, g._impl.image_of, start, allowed=allowed) is not None
 
 
 def forward_reach_depths(g: TransitionGraph, start: CellSet):

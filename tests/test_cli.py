@@ -235,13 +235,24 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
      "sample_points"),
     ("verify", '{%s, "property": "semicontinuity", "x": 0.5, "eps": 0.3, '
                '"delta_schedule": [1e-9]}' % _SQUARE, "delta_schedule"),
+    ("verify", '{%s, "property": "lemma2", "instances": 2, "n_max": 5, '
+               '"eps": 0.5, "x": 0.3, "start": [0.2], "mode": "lsc"}' % _SQUARE,
+     "eps"),
+    ("verify", '{%s, "property": "initial-fattening", "start": [0.2], '
+               '"eps0": 0.1, "levels": 1, "n_max": 5}' % _SQUARE, "n_max"),
+    ("verify", '{%s, "property": "semicontinuity", "x": 0.5, "eps": 0.3, '
+               '"levels": 2}' % _SQUARE, "levels"),
+    ("reach", '{"system": {"name": "drift_control", "parameters": '
+              '{"a": 0.5, "controls": []}}, "grid": {"cells_per_dim": [64]}, '
+              '"x": 0.3}', "controls"),
 ], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
         "cells-string", "seed-negative", "levels-bool", "eps-duplicate",
         "policy-string", "policy-number", "policy-unknown-control",
         "mode-unknown", "parameters-string", "domain-number", "domain-list",
         "domain-empty", "domain-one-bound", "domain-extra-key",
         "x-two-coordinates", "x-outside", "start-empty", "sample-outside",
-        "samples-empty", "verify-delta-schedule"])
+        "samples-empty", "verify-delta-schedule", "lemma2-other-keys",
+        "initial-fattening-n-max", "semicontinuity-levels", "controls-empty"])
 def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     path = tmp_path / "probe.json"
     path.write_text(text)
