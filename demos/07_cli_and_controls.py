@@ -22,29 +22,30 @@ from chainscope import (
 )
 
 # -- drive the CLI ------------------------------------------------------------
-workdir = Path(tempfile.mkdtemp(prefix="chainscope_demo_"))
-cfg = {
-    "system": {"name": "square"},
-    "grid": {"cells_per_dim": [4096]},
-    "x": 1.0,
-    "eps": 0.1,
-}
-cfg_path = workdir / "robust.json"
-cfg_path.write_text(json.dumps(cfg))
-out_path = workdir / "report.json"
+with tempfile.TemporaryDirectory(prefix="chainscope_demo_") as tmp:
+    workdir = Path(tmp)
+    cfg = {
+        "system": {"name": "square"},
+        "grid": {"cells_per_dim": [4096]},
+        "x": 1.0,
+        "eps": 0.1,
+    }
+    cfg_path = workdir / "robust.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = workdir / "report.json"
 
-proc = subprocess.run(
-    [sys.executable, "-m", "chainscope.cli", "robust",
-     "--config", str(cfg_path), "--out", str(out_path), "--quiet"],
-    capture_output=True, text=True,
-)
-print("exit code:", proc.returncode, "(0 even for a non-robust finding)")
-report = json.loads(out_path.read_text())
-print("verdict:", report["outcome"]["verdict"])
-print("witness sidecar:", report["outcome"]["witness_file"])
-print("first witness rows:")
-for line in (workdir / "robust_witness.csv").read_text().splitlines()[:4]:
-    print(" ", line)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainscope.cli", "robust",
+         "--config", str(cfg_path), "--out", str(out_path), "--quiet"],
+        capture_output=True, text=True,
+    )
+    print("exit code:", proc.returncode, "(0 even for a non-robust finding)")
+    report = json.loads(out_path.read_text())
+    print("verdict:", report["outcome"]["verdict"])
+    print("witness sidecar:", report["outcome"]["witness_file"])
+    print("first witness rows:")
+    for line in (workdir / "robust_witness.csv").read_text().splitlines()[:4]:
+        print(" ", line)
 
 # -- a controlled system: the reach tree under all control choices -------------
 sys_dc = drift_control(0.5)          # x -> 0.5 x + u, u in {-0.1, 0, 0.1}

@@ -89,8 +89,10 @@ class Domain:
         return self.wrap(p)
 
     def wrap(self, points: np.ndarray) -> np.ndarray:
-        """Canonical form of a float array: circle coordinates into [0, 1)."""
-        return points % 1.0 if self.kind == "circle" else points
+        """Canonical form of a float array: circle coordinates into [0, 1).
+        ``% 1.0`` rounds a tiny negative coordinate up to 1.0; the second
+        ``%`` takes 1.0 to 0.0 and leaves every other result as it is."""
+        return points % 1.0 % 1.0 if self.kind == "circle" else points
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Into the domain: wrapped on the circle, clipped on a box."""

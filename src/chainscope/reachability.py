@@ -429,7 +429,9 @@ def find_uniform_delta(
 
     Compares n-fold composed graph images (not cumulative reach) per step on
     one shared grid.  Failure at the schedule floor is a report outcome, not
-    an error.
+    an error.  The pair of images lives on a finite set, so it repeats; past
+    its first repeat every pair is one already checked, and the check stops
+    there.  Brent's cycle detection finds the repeat holding one saved pair.
     """
     grid = start.grid
     grid.check_resolution(eps, "eps")
@@ -443,12 +445,18 @@ def find_uniform_delta(
         a = fatten(start, delta).mask
         b = start.mask.copy()
         ok, fail_n = True, None
+        saved, power, lam = (a, b), 1, 0
         for n in range(1, n_max + 1):
             a = g_d._impl.image_of(a)
             b = g_eps._impl.image_of(b)
             if np.any(a & ~b):
                 ok, fail_n = False, n
                 break
+            if np.array_equal(a, saved[0]) and np.array_equal(b, saved[1]):
+                break
+            lam += 1
+            if lam == power:
+                saved, power, lam = (a, b), 2 * power, 0
         entries.append((delta, ok, fail_n))
         if ok:
             found = delta

@@ -11,6 +11,7 @@ a batch of cells in 1-D and 2-D; everything that images cells goes through it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,11 +23,14 @@ from .geometry import CellSet, Domain, Grid, _index_ranges, _range_union
 # relative inflation of Lipschitz ball radii; absorbs float rounding in
 # products so that sampled points can never fall outside the computed ball
 _RADIUS_SAFETY = 1.0 + 1e-9
-# cap on the (image, cell) pairs a graph may materialize; read only by
-# ``_check_edge_cap``, at call time, so every path sees the current value
+# cap on the edges a graph may lay out, and on the ranges a 2-D build may
+# store; read only by ``_check_edge_cap``, at call time, so every path sees
+# the current value
 MAX_EXPLICIT_EDGES = 200_000_000
 # window cells per chunk of the 2-D cell-image kernel; bounds its scratch memory
 _IMAGE_CHUNK_CELLS = 1 << 13
+# beyond any column: the ends of a window row without a hit
+_FAR = 1 << 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,27 +90,29 @@ def image_cell(sys: System, cell: int, grid: Grid) -> CellSet:
 
 def _image_union(sys: System, grid: Grid, cells) -> np.ndarray:
     """Flat mask of the union of the images of ``cells`` over all controls."""
-    a, b = _cell_images(sys, grid, cells)
-    if grid.domain.ndim == 1:
-        return _range_union(grid.n_cells, a.ravel(), b.ravel())
-    return np.bincount(b, minlength=grid.n_cells) > 0
+    start, length = _cell_images(sys, grid, cells)
+    return _range_union(grid.n_cells, start.ravel(), length.ravel())
 
 
-def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None,
-                 label: np.ndarray | None = None):
+def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
     """Each source cell's image under each control: the cells touching the
     closed ball of radius L * cell_radius around f(center, u) and, given
     ``eps``, every cell touching that set's closed eps-neighborhood.
 
-    ``cells`` indexes the sources among all cells: flat indices or a slice.
-    Image j * m + i is that of control j and the i-th of the m sources.
-    1-D: (start, length) ranges of shape (n_controls, m), as made by
-    ``_index_ranges``.  2-D: int32 (rows, cols), one entry per (image, cell)
-    pair; chunks of images are tested in windows as wide as the widest touch
-    range and dilated there by the mask ``Grid.fatten_offsets(eps)``.  Given
-    ``label`` (each cell's number among some candidate cells, -1 for the
-    others), each chunk keeps only the pairs whose cell c is a candidate, as
-    (image, label[c]), and the edge cap counts only those.
+    ``cells`` indexes the m sources among all cells: flat indices or a slice.
+    An image is R (start, length) ranges of flat indices, as ``_RangeGraph``
+    stores them: arrays of shape (n_controls * R, m), where rows j * R to
+    j * R + R - 1 hold control j's images.  1-D: R = 1, the ranges of
+    ``_index_ranges``.  2-D: one range per grid row of the image's window.
+    The cells touching a ball form one column interval per grid row, holding
+    the centre's column, and every row of the mask ``Grid.fatten_offsets(eps)``
+    is an interval centred on column 0; so the dilated image is one column
+    interval per row too.  Each image is tested in a window as wide as the
+    widest touch range; each window row's first and last hit column, widened
+    by the half-width of each mask row, give the output rows' ends.  R counts
+    the window's rows plus the mask's nonempty rows, less one; rows outside
+    the grid or without a cell are empty ranges (0, 0).  The range count is
+    checked against the edge cap before the arrays are allocated.
     """
     rho = sys.lipschitz * (grid.cell_diameter / 2.0) * _RADIUS_SAFETY
     centers = grid.centers()[cells]
@@ -119,50 +125,55 @@ def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None,
         k = 0 if eps is None else grid.fatten_offsets(eps)
         out[0], out[1] = _index_ranges(grid, lo[0] - k, hi[0] + k)
         return out[0], out[1]
-    pts, lo, hi = pts.reshape(-1, 2), [x.ravel() for x in lo], [x.ravel() for x in hi]
     struct = np.ones((1, 1), bool) if eps is None else grid.fatten_offsets(eps)
-    (n0, n1), (w0, w1) = grid.cells_per_dim, struct.shape
+    struct = struct[struct.any(axis=1)]   # its empty outer rows reach no cell
+    half, w0 = np.count_nonzero(struct, axis=1) // 2, struct.shape[0]
+    (n0, n1), (nc, m) = grid.cells_per_dim, pts.shape[:2]
     offs = [np.arange(np.max(hi[d] - lo[d], initial=0) + 1) for d in range(2)]
-    step = max(1, _IMAGE_CHUNK_CELLS // ((offs[0].size + w0) * (offs[1].size + w1)))
-    itype = np.int32 if max(pts.shape[0], grid.n_cells) < 2 ** 31 else np.int64
-    rows, cols = [np.empty(0, itype)], [np.empty(0, itype)]
-    for s in range(0, pts.shape[0], step):
+    rows = offs[0].size + w0 - 1
+    _check_edge_cap(nc * rows * m, "ranges")
+    itype = np.int32 if grid.n_cells < 2 ** 31 else np.int64
+    start, length = np.zeros((2, nc, rows, m), itype)
+    step = max(1, _IMAGE_CHUNK_CELLS // (offs[0].size * offs[1].size + rows))
+    for j, s in itertools.product(range(nc), range(0, m, step)):
         part = slice(s, s + step)
         sq, inside = [], []
         for d, n in enumerate(grid.cells_per_dim):
-            i, p, h = lo[d][part, None] + offs[d], pts[part, d, None], grid.spacing[d]
+            i, p, h = lo[d][j, part, None] + offs[d], pts[j, part, d, None], grid.spacing[d]
             edge = grid.domain.bounds[d, 0] + i * h
             gap = np.maximum(np.maximum(edge - p, p - (edge + h)), 0.0)
             sq.append(gap * gap)
-            inside.append((i >= 0) & (i < n) & (i <= hi[d][part, None]))
+            inside.append((i >= 0) & (i < n) & (i <= hi[d][j, part, None]))
         hit = ((sq[0][:, :, None] + sq[1][:, None, :] <= rho * rho)
                & inside[0][:, :, None] & inside[1][:, None, :])
-        # dilation: the mask, centred on every hit, ORed into a padded window
-        fat = np.zeros((len(hit), offs[0].size + w0 - 1, offs[1].size + w1 - 1), bool)
-        for a, b in zip(*np.nonzero(hit.any(axis=0))):
-            fat[:, a:a + w0, b:b + w1] |= hit[:, a, b, None, None] & struct
-        r, a, b = np.nonzero(fat)
-        i, j = lo[0][part][r] - w0 // 2 + a, lo[1][part][r] - w1 // 2 + b
-        on = (i >= 0) & (i < n0) & (j >= 0) & (j < n1)
-        r, c = r[on] + s, i[on] * n1 + j[on]
-        if label is not None:
-            c = label[c]
-            r, c = r[c >= 0], c[c >= 0]
-        rows.append(r.astype(itype))
-        cols.append(c.astype(itype))
-        _check_edge_cap(sum(x.size for x in rows), at_least=True)
-    return np.concatenate(rows), np.concatenate(cols)
+        some = hit.any(axis=2)
+        first = np.where(some, hit.argmax(axis=2), _FAR)
+        last = np.where(some, offs[1].size - 1 - hit[:, :, ::-1].argmax(axis=2), -_FAR)
+        # window row a reaches output row a + t through mask row t
+        c0, c1 = np.full((len(hit), rows), _FAR), np.full((len(hit), rows), -_FAR)
+        for a in range(offs[0].size):
+            np.minimum(c0[:, a:a + w0], first[:, a, None] - half, out=c0[:, a:a + w0])
+            np.maximum(c1[:, a:a + w0], last[:, a, None] + half, out=c1[:, a:a + w0])
+        i = lo[0][j, part, None] - w0 // 2 + np.arange(rows)
+        c0 = np.maximum(c0 + lo[1][j, part, None], 0)
+        c1 = np.minimum(c1 + lo[1][j, part, None], n1 - 1)
+        on = (i >= 0) & (i < n0) & (c0 <= c1)
+        start[j, :, part] = np.where(on, i * n1 + c0, 0).T
+        length[j, :, part] = np.where(on, c1 - c0 + 1, 0).T
+    return start.reshape(nc * rows, m), length.reshape(nc * rows, m)
 
 
-def _check_edge_cap(edges: int, at_least: bool = False) -> int:
-    """Return ``edges`` when within MAX_EXPLICIT_EDGES, else raise
-    ResourceLimitError; ``at_least`` marks a partial count."""
-    if edges > MAX_EXPLICIT_EDGES:
+def _check_edge_cap(count: int, unit: str = "edges") -> int:
+    """Return ``count`` when within MAX_EXPLICIT_EDGES, else raise
+    ResourceLimitError.  ``count`` counts edges, or the cell-image ranges
+    that a 2-D build is about to store."""
+    if count > MAX_EXPLICIT_EDGES:
+        cost = (f" ({12 * count} bytes at 12 B per edge in the SCC pass)"
+                if unit == "edges" else "")
         raise ResourceLimitError(
-            f"transition graph needs {'at least ' if at_least else ''}{edges} edges "
-            f"({12 * edges} bytes at 12 B per edge in the SCC pass), above the "
-            f"edge cap MAX_EXPLICIT_EDGES={MAX_EXPLICIT_EDGES}")
-    return edges
+            f"transition graph needs {count} {unit}{cost}, above the edge cap "
+            f"MAX_EXPLICIT_EDGES={MAX_EXPLICIT_EDGES}")
+    return count
 
 
 def _check_self_map(sys: System, samples: int = 64):
@@ -190,11 +201,12 @@ def _check_self_map(sys: System, samples: int = 64):
 # --------------------------------------------------------------------------
 
 def rotation(theta: float) -> System:
-    """Circle rotation x -> (x + theta) mod 1; isometry, L = 1."""
+    """Circle rotation x -> (x + theta) mod 1; isometry, L = 1.  The map
+    returns x + theta; ``System.image_points`` wraps it onto the circle."""
     th = float(theta)
 
     def f(pts, u):
-        return (pts + th) % 1.0
+        return pts + th
 
     return System("rotation", Domain.circle(), {"theta": th}, (None,), 1.0, f)
 

@@ -15,22 +15,20 @@ same code with m = n, where each cell is numbered as itself.  Subdivision
 the level before; see the README for why that is exact.
 
 Every candidate's fattened image under every control comes from one batched
-kernel, ``systems._cell_images``.  In one dimension the successor set of a
-(cell, control) pair is a contiguous index range, taken modulo n; among the
-candidates it is still one range, taken modulo m, found from a prefix count
-of the candidates.  So the graph is stored as per-control (start, length)
-arrays and set-valued steps run as difference-array sweeps in O(m).
-Two-dimensional graphs use an explicit sparse boolean matrix, built from the
-kernel's int32 (source, candidate) pairs, which it makes a chunk of sources
-at a time in windows around the image balls, dropping images that are not
-candidates.  A forward sweep gathers the successors from the frontier's
-rows, or runs one bool matvec when the frontier holds over a third of the
-edges; a backward sweep is a bool matvec, where a sum is an OR and cannot
-wrap.
-For the SCC pass a 1-D graph lays its ranges out as CSR in place, 12 bytes
-per edge (int32 indices, float64 data: scipy copies neither), each cell's
-ranges merged first: scipy's strong ``connected_components`` (1.17) can hang
-on a repeated edge.
+kernel, ``systems._cell_images``, as index ranges in 1-D and 2-D alike.  In
+one dimension the successor set of a (cell, control) pair is a contiguous
+index range, taken modulo n.  In two it is one column range per grid row:
+the cells touching a ball form one column interval per row, holding the
+centre's column, and each row of the fattening mask is an interval centred
+on its middle, so the fattened image is one interval per row as well.
+Among the candidates each range is still one range, taken modulo m, found
+from a prefix count of the candidates.  So every graph is stored as
+(start, length) arrays, one block of rows per control, and set-valued steps
+run as difference-array sweeps over the ranges: no sweep materializes an
+edge.  For the SCC pass a graph lays its ranges out as CSR in place, 12
+bytes per edge (int32 indices, float64 data: scipy copies neither), each
+cell's ranges made disjoint and sorted first: scipy's strong
+``connected_components`` (1.17) can hang on a repeated edge.
 """
 from __future__ import annotations
 
@@ -42,30 +40,30 @@ from .errors import EmptySetError, GridMismatchError
 from .geometry import CellSet, Grid, _range_union
 from .systems import System, _cell_images, _check_edge_cap
 
-# frontier edges per chunk of a 2-D forward sweep; bounds its scratch memory
-_GATHER_EDGES = 1 << 20
-
-
 class _RangeGraph:
-    """1-D successor ranges among n candidates: under control j, successors(c)
-    are the candidates (start[j, c] + i) % n for 0 <= i < length[j, c].
+    """Successor ranges among n candidates: successors(c) are the candidates
+    (start[r, c] + i) % n for 0 <= i < length[r, c], over every row r.
 
-    0 <= start <= n and 0 <= length <= n: a range is empty when no candidate
-    lies in its cells, and starts at n, which is 0 modulo n, when none lies
-    from its first cell on.  Box ranges never pass n - 1; circle ranges may
-    wrap past it, so membership is always taken modulo n.
+    Rows come ``controls`` blocks of equal size, one block per control: one
+    range per control in 1-D, one per grid row of the image in 2-D.  One
+    control's ranges never share a cell.  0 <= start <= n and 0 <= length
+    <= n: a range is empty when no candidate lies in its cells, and starts
+    at n, which is 0 modulo n, when none lies from its first cell on.  Box
+    and 2-D ranges never pass n - 1; circle ranges may wrap past it, so
+    membership is always taken modulo n.
     """
 
-    def __init__(self, n: int, start: np.ndarray, length: np.ndarray):
+    def __init__(self, n: int, start: np.ndarray, length: np.ndarray, controls: int):
         self.n = n
-        self.start = start       # (n_controls, n) int64, or int32 when renumbered
+        self.start = start       # (rows, n) int64, or int32 in 2-D or renumbered
         self.length = length
+        self.controls = controls
 
     def successors(self, c: int) -> np.ndarray:
-        return np.unique(np.concatenate([
-            (s + np.arange(l)) % self.n
-            for s, l in zip(self.start[:, c], self.length[:, c])
-        ]))
+        s, l = self.start[:, c], self.length[:, c]
+        # one arange over all the ranges, shifted range by range onto s
+        return np.unique((np.repeat(s - (np.cumsum(l) - l), l)
+                          + np.arange(l.sum())) % self.n)
 
     def image_of(self, mask: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(mask.reshape(-1))
@@ -90,9 +88,8 @@ class _RangeGraph:
                       axis=0)
 
     def edge_count(self) -> int:
-        """Distinct edges: ranges of several controls may share a cell; one
-        control's range never repeats one."""
-        if self.length.shape[0] == 1:
+        """Distinct edges: ranges of several controls may share a cell."""
+        if self.controls == 1:
             return int(self.length.sum())
         return int(self._disjoint_ranges()[2].sum())
 
@@ -117,59 +114,25 @@ class _RangeGraph:
         if not n:
             return (np.zeros(0, np.int64),) * 3
         # pieces [lo, hi): each range's wrapped part (lo = 0; empty unless it
-        # wraps), then the ranges by start; shifted by cell * (n + 1), one
-        # running max of hi merges the pieces cell by cell
-        order = np.argsort(self.start, axis=0, kind="stable")
-        end = np.take_along_axis(self.start + self.length, order, 0)
-        lo = np.concatenate([0 * end, np.take_along_axis(self.start, order, 0)])
+        # wraps), then the ranges, shifted by cell * (n + 1).  One control's
+        # ranges are disjoint and in order already; several controls' are
+        # sorted by start, and one running max of hi merges them cell by cell
+        start, end = self.start, self.start + self.length
+        if self.controls > 1:
+            order = np.argsort(start, axis=0, kind="stable")
+            start, end = (np.take_along_axis(x, order, 0) for x in (start, end))
+        lo = np.concatenate([0 * end, start])
         hi = np.concatenate([np.maximum(end - n, 0), np.minimum(end, n)])
         shift = (n + 1) * np.arange(n)
-        lo, hi = (lo + shift).T.ravel(), np.maximum.accumulate((hi + shift).T.ravel())
-        first = np.flatnonzero(np.concatenate([[True], lo[1:] > hi[:-1]]))
-        start, length = lo[first], hi[np.append(first[1:], lo.size) - 1] - lo[first]
-        start, length = start[length > 0], length[length > 0]
+        lo, hi = (lo + shift).T.ravel(), (hi + shift).T.ravel()
+        if self.controls > 1:
+            hi = np.maximum.accumulate(hi)
+            first = np.flatnonzero(np.concatenate([[True], lo[1:] > hi[:-1]]))
+            lo, hi = lo[first], hi[np.append(first[1:], lo.size) - 1]
+        length = hi - lo
+        start, length = lo[length > 0], length[length > 0]
         cell = start // (n + 1)
         return start - cell * (n + 1), length, np.bincount(cell, length, n).astype(np.int64)
-
-
-class _CsrGraph:
-    """Explicit sparse adjacency (2-D grids)."""
-
-    def __init__(self, matrix: sp.csr_matrix):
-        self.m = matrix
-        self.n = matrix.shape[0]
-
-    def successors(self, c: int) -> np.ndarray:
-        return np.sort(self.m.indices[self.m.indptr[c]:self.m.indptr[c + 1]])
-
-    def image_of(self, mask: np.ndarray) -> np.ndarray:
-        """The successors of the ``mask`` rows, gathered from those CSR rows a
-        chunk of about _GATHER_EDGES edges at a time."""
-        rows, ptr = np.flatnonzero(mask.reshape(-1)), self.m.indptr
-        edges = np.cumsum(ptr[rows + 1] - ptr[rows])
-        total = int(edges[-1]) if rows.size else 0
-        if 3 * total > self.m.nnz:   # a dense frontier: one matvec reads less
-            return (mask.reshape(-1) @ self.m).reshape(mask.shape)
-        out = np.zeros(self.n, bool)
-        for part in np.split(rows, np.searchsorted(
-                edges, np.arange(_GATHER_EDGES, total, _GATHER_EDGES))):
-            out[self.m[part].indices] = True
-        return out.reshape(mask.shape)
-
-    def preimage_of(self, mask: np.ndarray) -> np.ndarray:
-        return (self.m @ mask.reshape(-1)).reshape(mask.shape)
-
-    def has_edges(self, src: np.ndarray, dst: int) -> np.ndarray:
-        return self.m[src, dst].toarray().ravel()
-
-    def self_loops(self) -> np.ndarray:
-        return self.m.diagonal().astype(bool)
-
-    def edge_count(self) -> int:
-        return int(self.m.nnz)
-
-    def to_csr(self) -> sp.csr_matrix:
-        return self.m
 
 
 class TransitionGraph:
@@ -260,16 +223,11 @@ def build_graph(sys: System, grid: Grid, eps: float,
         # so that the cells [a, b) hold rank[b] - rank[a] candidates even past n
         sources, rank = idx, np.zeros(2 * n + 1, np.int32 if n < 2 ** 30 else np.int64)
         np.cumsum(np.tile(mask, 2), out=rank[1:])
-    if grid.domain.ndim == 1:
-        start, length = _cell_images(sys, grid, sources, eps)
-        if rank is not None:
-            start, length = rank[start], rank[start + length] - rank[start]
-        return TransitionGraph(sys, grid, eps, _RangeGraph(m, start, length), idx)
-    label = None if rank is None else np.where(mask, rank[:n], -1)
-    a, b = _cell_images(sys, grid, sources, eps, label)
-    a %= max(m, 1)   # image j * m + i is source i's under control j; repeats merge
-    adj = sp.coo_matrix((np.ones(a.size, bool), (a, b)), shape=(m, m)).tocsr()
-    return TransitionGraph(sys, grid, eps, _CsrGraph(adj), idx)
+    start, length = _cell_images(sys, grid, sources, eps)
+    if rank is not None:
+        start, length = rank[start], rank[start + length] - rank[start]
+    impl = _RangeGraph(m, start, length, len(sys.controls))
+    return TransitionGraph(sys, grid, eps, impl, idx)
 
 
 def _closure(g: TransitionGraph, step, seed: CellSet,
@@ -376,12 +334,9 @@ def extract_path(g: TransitionGraph, depths: np.ndarray, end_cell: int):
 
 def edge_control(g: TransitionGraph, src: int, dst: int):
     """A control value under which the edge src -> dst exists."""
-    a, b = _cell_images(g.system, g.grid, [src], g.eps)
-    if g.grid.domain.ndim == 1:   # (start, length) ranges
-        hit = (dst - a[:, 0]) % g.n_cells < b[:, 0]
-    else:                         # (image, cell) pairs; image j is control j's
-        hit = np.isin(np.arange(len(g.system.controls)), a[b == dst])
-    for u, ok in zip(g.system.controls, hit):
-        if ok:
+    start, length = _cell_images(g.system, g.grid, [src], g.eps)
+    hit = (dst - start[:, 0]) % g.n_cells < length[:, 0]
+    for u, ok in zip(g.system.controls, hit.reshape(len(g.system.controls), -1)):
+        if ok.any():
             return u
     raise ValueError(f"no edge {src} -> {dst}")

@@ -3,18 +3,21 @@
 The oracles are the plain per-cell forms of the same computation: the cells
 touching one Lipschitz ball, found by an exact box-distance test over a
 clipped index window, and a 2-D graph built one source cell at a time by
-imaging the cell, dilating the image in a local window and collecting its
-cells.  Kernel and oracles must agree cell for cell.
+imaging the cell and stamping the fattening mask on each of its cells.
+Kernel and oracles must agree cell for cell.
 """
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.ndimage import binary_dilation
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from chainscope.errors import SelfMapError
 from chainscope.geometry import CellSet, Domain, Grid, fatten
 from chainscope.systems import (
     _RADIUS_SAFETY,
     System,
+    _cell_images,
     affine2d,
     constant,
     drift_control,
@@ -90,21 +93,18 @@ def oracle_image(sys, grid, cell, controls=None):
 
 
 def oracle_graph(sys, grid, eps):
-    """CSR of the 2-D fattened graph, one source cell at a time."""
+    """CSR of the 2-D fattened graph, one source cell at a time: the mask
+    ``Grid.fatten_offsets(eps)``, centred on each cell of the source's image,
+    ORed into the grid padded by the mask's reach."""
     struct = grid.fatten_offsets(eps)
-    pad0, pad1 = struct.shape[0] // 2, struct.shape[1] // 2
-    shape = grid.shape
+    (w0, w1), (n0, n1) = struct.shape, grid.shape
     rows, cols = [], []
     for c in range(grid.n_cells):
-        hit = oracle_image(sys, grid, c).reshape(shape)
-        i_idx, j_idx = np.nonzero(hit)
-        w0a = max(i_idx.min() - pad0, 0)
-        w0b = min(i_idx.max() + pad0 + 1, shape[0])
-        w1a = max(j_idx.min() - pad1, 0)
-        w1b = min(j_idx.max() + pad1 + 1, shape[1])
-        window = binary_dilation(hit[w0a:w0b, w1a:w1b], structure=struct)
-        wi, wj = np.nonzero(window)
-        flat = np.ravel_multi_index((wi + w0a, wj + w1a), shape)
+        hit = oracle_image(sys, grid, c).reshape(grid.shape)
+        fat = np.zeros((n0 + w0 - 1, n1 + w1 - 1), dtype=bool)
+        for i, j in zip(*np.nonzero(hit)):
+            fat[i:i + w0, j:j + w1] |= struct
+        flat = np.flatnonzero(fat[w0 // 2:w0 // 2 + n0, w1 // 2:w1 // 2 + n1])
         rows.append(np.full(flat.size, c, dtype=np.int64))
         cols.append(flat)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
@@ -128,6 +128,47 @@ def test_2d_graph_matches_per_cell_oracle(sys, cells, diameters):
     want = oracle_graph(sys, grid, eps)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
+
+
+@st.composite
+def affine_self_maps(draw):
+    """affine2d maps of the unit square into itself: each row of M has an
+    absolute sum of at most 1, and b places the image inside."""
+    m = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4)))
+    m = m.reshape(2, 2)
+    lo, hi = np.minimum(m, 0).sum(axis=1), np.maximum(m, 0).sum(axis=1)
+    t = np.array(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2)))
+    try:
+        return affine2d(m, -lo + t * (1 - (hi - lo)))
+    except SelfMapError:   # a corner rounded out of the square
+        reject()
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(sys=affine_self_maps(), cells=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       floors=st.sampled_from([1.0, 1.7, 3.0, 6.5, 20.0, None]),
+       density=st.sampled_from([None, 0.1, 0.5, 0.9]), seed=st.integers(0, 2 ** 16))
+def test_2d_graph_matches_per_cell_oracle_on_random_maps(sys, cells, floors,
+                                                         density, seed):
+    """Random self-maps, grids and eps from the floor to 1e300, on every cell
+    or on random candidates: the subgraph the candidates induce."""
+    grid = Grid(sys.domain, cells)
+    eps = 1e300 if floors is None else floors * grid.resolution_floor
+    cand = None if density is None else CellSet(
+        grid, np.random.default_rng(seed).random(grid.shape) < density)
+    got = build_graph(sys, grid, eps, cand).to_csr()
+    want = oracle_graph(sys, grid, eps)
+    if cand is not None:
+        idx = cand.indices()
+        want = want[idx][:, idx]
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    # every range lies in one grid row
+    for fat in (eps, None):
+        start, length = _cell_images(sys, grid, slice(None), fat)
+        n1 = grid.cells_per_dim[1]
+        on = length > 0
+        assert np.array_equal(start[on] // n1, (start + length - 1)[on] // n1)
 
 
 @pytest.mark.parametrize("sys,cells", [

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,23 @@ def test_verify_lemma2_suite_exit_zero(tmp_path):
     assert run_cli(["verify", "--config", path, "--out", out, "--quiet"]) == 0
     rep = json.loads((tmp_path / "v_rep.json").read_text())
     assert rep["outcome"]["all_found"] is True
+
+
+def test_verify_lemma2_huge_n_max_ends_at_the_repeat(tmp_path):
+    # the pair of n-fold images repeats within a few steps on 64 cells of
+    # square; n_max 10^12 stops there with the outcome of n_max 200
+    outcomes = []
+    for n_max in (200, 10 ** 12):
+        cfg = {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+               "property": "lemma2", "n_max": n_max}
+        path = write_cfg(tmp_path, "v.json", cfg)
+        out = tmp_path / "v_rep.json"
+        t0 = time.perf_counter()
+        assert run_cli(["verify", "--config", path, "--out", str(out), "--quiet"]) == 0
+        elapsed = time.perf_counter() - t0
+        outcomes.append(json.loads(out.read_text())["outcome"])
+    assert elapsed < 1.0
+    assert outcomes[0] == outcomes[1]
 
 
 def test_verify_initial_fattening_exit_zero(tmp_path):

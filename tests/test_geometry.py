@@ -33,6 +33,19 @@ def test_metric_circle_wraparound():
     assert metric_distance(CIRCLE, 0.1, 0.9) == pytest.approx(0.2)
 
 
+def test_circle_wrap_lands_in_unit_interval():
+    # % 1.0 rounds a tiny negative coordinate up to 1.0; the wrap maps that
+    # to 0.0, leaves every other value as % 1.0 gives it, and keeps NaN
+    rng = np.random.default_rng(13)
+    x = np.concatenate([[-1e-20, -5e-17, -0.0, 0.0, 1.0, -1.0, 2.5, -0.25],
+                        rng.uniform(-3.0, 3.0, 10_000)])
+    w = CIRCLE.wrap(x)
+    assert np.all((w >= 0.0) & (w < 1.0))
+    assert np.array_equal(w, np.where(x % 1.0 == 1.0, 0.0, x % 1.0))
+    assert CIRCLE.canon(-1e-20)[0] == 0.0
+    assert np.isnan(CIRCLE.wrap(np.array([np.nan]))).all()
+
+
 def test_metric_identity_of_indiscernibles():
     for dom, x in [(BOX, 0.37), (CIRCLE, 0.91)]:
         assert metric_distance(dom, x, x) == 0.0
@@ -125,7 +138,8 @@ def test_cells_of_matches_cell_of():
 ])
 def test_cell_of_and_cells_of_match_boundary_oracle(domain, cells):
     # random points, every float cell boundary lo + i*h and both domain ends;
-    # on the circle also points just below 0, which wrap to (or onto) 1
+    # on the circle also points just below 0, which wrap to just below 1 (or,
+    # within rounding of 0, to 0)
     g = Grid(domain, cells)
     rng = np.random.default_rng(11)
     axes = []

@@ -1,13 +1,12 @@
-"""The SCC pass: the in-place CSR of 1-D graphs, the component selection,
-the 2-D bool sweeps and the edge cap.
+"""The SCC pass: the in-place CSR of range graphs, the component selection,
+the 2-D sweeps and the edge cap.
 
 The oracles are the earlier implementations: a COO matrix merged by
 ``tocsr`` for the graph, and a loop over every component for the selection.
-The CSR built in place merges each cell's ranges first, so it must equal the
-oracle entry for entry.
+The CSR built in place lays each cell's ranges out disjoint and in order
+first, so it must equal the oracle entry for entry.
 """
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from chainscope import systems, transition
+from chainscope import systems
 from chainscope.errors import ResourceLimitError
 from chainscope.geometry import CellSet, Domain, Grid
 from chainscope.systems import affine2d, drift_control, logistic, rotation, square
 from chainscope.transition import (
     TransitionGraph,
-    _CsrGraph,
     _RangeGraph,
     build_graph,
     recurrent_cells,
@@ -97,7 +95,7 @@ def range_graph(start, length):
     start, length = np.array(start, np.int64), np.array(length, np.int64)
     n = start.shape[1]
     return TransitionGraph(None, Grid(Domain.circle(), n), 1.0,
-                           _RangeGraph(n, start, length))
+                           _RangeGraph(n, start, length, start.shape[0]))
 
 
 @st.composite
@@ -154,22 +152,6 @@ def test_2d_sweeps_match_integer_matvec(cells, diameters):
             assert np.array_equal(g.preimage_of(cells_).mask.reshape(-1), m @ vec > 0)
 
 
-@SETTINGS
-@given(n=st.integers(0, 60), density=st.sampled_from([0.0, 0.02, 0.2, 0.9]),
-       frontier=st.sampled_from([0.0, 0.05, 0.3, 1.0]), chunk=st.integers(1, 50),
-       seed=st.integers(0, 2 ** 16))
-def test_2d_forward_sweep_gathers_what_the_bool_matvec_reads(n, density, frontier,
-                                                            chunk, seed):
-    """Frontier rows gathered in chunks of ``chunk`` edges (a row may hold
-    more), or one matvec for a dense frontier: the same image."""
-    rng = np.random.default_rng(seed)
-    m = sp.random(n, n, density, format="csr", random_state=rng, dtype=float) != 0
-    mask = rng.random(n) < frontier
-    with mock.patch.object(transition, "_GATHER_EDGES", chunk):
-        got = _CsrGraph(m).image_of(mask)
-    assert got.dtype == bool and np.array_equal(got, mask @ m)
-
-
 # --------------------------------------------------------------------------
 # memory and the edge cap
 # --------------------------------------------------------------------------
@@ -220,4 +202,4 @@ def test_patched_edge_cap_stops_2d_build_early(monkeypatch):
     monkeypatch.setattr(systems, "MAX_EXPLICIT_EDGES", 1000)
     peak, msg = _peak_while_raising(lambda: build_graph(SKEW, grid, 1e300))
     assert peak < edges, peak
-    assert "at least" in msg and "MAX_EXPLICIT_EDGES=1000" in msg
+    assert "ranges" in msg and "MAX_EXPLICIT_EDGES=1000" in msg

@@ -16,7 +16,15 @@ from chainscope.reachability import (
     semicontinuity_probe,
     verify_initial_fattening,
 )
-from chainscope.systems import constant, drift_control, identity_map, rotation, square
+from chainscope.systems import (
+    constant,
+    drift_control,
+    identity_map,
+    logistic,
+    rotation,
+    square,
+)
+from chainscope.transition import build_graph
 
 BOX = Domain.box([[0.0, 1.0]])
 
@@ -271,6 +279,39 @@ def test_uniform_delta_rotation_isometry():
     start = CellSet.from_points(g, [[0.2]])
     found, rep = find_uniform_delta(rotation(1.0 / 3.0), start, 0.08, 200)
     assert found == pytest.approx(0.02)
+
+
+def plain_uniform_delta_entries(sys, start, eps, n_max):
+    """find_uniform_delta's entries by checking every n up to n_max."""
+    grid = start.grid
+    g_eps = build_graph(sys, grid, eps)
+    entries = []
+    for delta in default_delta_schedule(eps, grid.resolution_floor):
+        g_d = build_graph(sys, grid, delta)
+        a, b = fatten(start, delta), start
+        fail_n = next((n for n in range(1, n_max + 1)
+                       if not (a := g_d.image_of(a)).issubset(b := g_eps.image_of(b))),
+                      None)
+        entries.append((delta, fail_n is None, fail_n))
+        if fail_n is None:
+            break
+    return entries
+
+
+@pytest.mark.parametrize("sys,domain,cells,x,eps", [
+    (square(), BOX, 64, 0.3, 0.2),
+    (square(), BOX, 512, 0.05, 0.1),
+    (logistic(3.7), BOX, 1024, 0.4, 0.05),
+    (rotation(0.6180339887498949), Domain.circle(), 1024, 0.2, 0.05),
+    (identity_map(), BOX, 256, 0.5, 0.1),
+], ids=["square-64", "square-512", "logistic", "golden", "identity"])
+def test_uniform_delta_stops_at_the_first_repeat(sys, domain, cells, x, eps):
+    # past the first repeat of the pair of images every pair was checked
+    # before: the entries equal a check of every n, and n_max 10^12 ends
+    start = CellSet.from_points(Grid(domain, cells), [[x]])
+    want = plain_uniform_delta_entries(sys, start, eps, 200)
+    assert find_uniform_delta(sys, start, eps, 200)[1].entries == want
+    assert find_uniform_delta(sys, start, eps, 10 ** 12)[1].entries == want
 
 
 def test_delta_equal_eps_fails_at_one_step():

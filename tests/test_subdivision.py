@@ -241,21 +241,24 @@ def test_extract_path_matches_the_preimage_backtrack(case, seed, candidates):
 
 
 # --------------------------------------------------------------------------
-# 2-D pairs: int32, and the edge cap counts kept candidate pairs only
+# 2-D ranges: int32, and the edge cap counts the candidates' ranges only
 # --------------------------------------------------------------------------
 
-def test_2d_pairs_are_int32():
+def test_2d_ranges_are_int32():
     factory, domain = CASES["affine2d"]
     grid = Grid(domain, (12, 12))
-    rows, cols = _cell_images(factory(), grid, slice(None), 6 * grid.cell_diameter)
-    assert rows.dtype == np.int32 and cols.dtype == np.int32
+    start, length = _cell_images(factory(), grid, slice(None), 6 * grid.cell_diameter)
+    assert start.dtype == np.int32 and length.dtype == np.int32
+    assert start.shape == length.shape and start.shape[1] == grid.n_cells
 
 
 def test_2d_edge_cap_counts_candidate_pairs_only(monkeypatch):
     factory, domain = CASES["affine2d"]
     grid = Grid(domain, (32, 32))
     cand = CellSet.from_box(grid, [0.3, 0.3], [0.6, 0.6])
-    eps = 1e300   # every pair is an edge: n^2 dense, m^2 among the candidates
+    # every pair is an edge, m^2 among the candidates; a source stores about
+    # 2 * 32 ranges, one per row of the mask, so n sources store more than m^2
+    eps = 1e300
     monkeypatch.setattr(systems, "MAX_EXPLICIT_EDGES", len(cand) ** 2)
     assert build_graph(factory(), grid, eps, cand).edge_count() == len(cand) ** 2
     with pytest.raises(ResourceLimitError):

@@ -25,6 +25,16 @@ def test_image_point_rotation():
     assert sys.image_point(0.5)[0] == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("theta", [0.6180339887498949, 1.0 / 3.0, 0.37, -0.25, -1e-17])
+def test_rotation_wraps_once_with_the_old_bytes(theta):
+    # the map no longer applies its own % 1.0: one wrap gives the bytes of
+    # the two it made before
+    pts = np.random.default_rng(17).random((100_000, 1))
+    pts[:4, 0] = [0.0, 1e-20, 0.999999999999, 0.5]
+    want = ((pts + theta) % 1.0) % 1.0
+    assert np.array_equal(rotation(theta).image_points(pts, None), want)
+
+
 def test_image_point_square():
     assert square().image_point(0.5)[0] == pytest.approx(0.25)
 
