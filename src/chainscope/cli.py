@@ -42,6 +42,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_VERIFY_FAIL = 3
+# verify lemma2 runs one radius ladder and writes one report entry per
+# instance; this bounds the loop and the report (about 130 KB at the bound)
+MAX_INSTANCES = 1000
 
 GLOBAL_KEYS = {"system", "domain", "grid", "seed"}
 # verify reads "property" and the keys of that property only
@@ -228,6 +231,8 @@ def validate_config(command: str, cfg: dict) -> dict:
                 "component"):
         if key in cfg and _number(key, cfg[key], integer=True) < 0:
             raise ConfigError(f"key {key!r} must be a non-negative integer")
+    if cfg.get("instances", 0) > MAX_INSTANCES:
+        raise ConfigError(f"key 'instances' must be at most {MAX_INSTANCES}")
     return cfg
 
 

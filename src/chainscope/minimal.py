@@ -14,6 +14,7 @@ searches) run as lanes of the batched orbit engine of ``orbits``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -25,9 +26,9 @@ from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory
 from .reachability import (
     RobustnessCertificate,
     _first_true,
+    _robust_samples,
     default_delta_schedule,
     orbit_reach,
-    robustness_check,
 )
 from .systems import System, _image_union
 from .transition import _reach_within, build_graph, recurrent_cells
@@ -35,6 +36,8 @@ from .transition import _reach_within, build_graph, recurrent_cells
 # a component "shrinks" under one refinement when its measure drops below
 # this fraction of its coarse ancestor's measure
 SHRINK_RATIO = 0.75
+# omega_limit's burn-in, new-cell window and tail step budget
+BURN_IN, WINDOW, TAIL_STEPS = 10_000, 2048, 300_000
 
 
 @dataclass
@@ -339,13 +342,22 @@ def lyapunov_stability(
     nested in w, so ``_first_true`` searches the schedule.
     """
     grid = a_set.grid
+    return _stability(sys, a_set, v_eps, invariance_eps, orbit_max_steps,
+                      lambda: build_graph(sys, grid, grid.resolution_floor))
+
+
+def _stability(sys, a_set, v_eps, invariance_eps, orbit_max_steps, floor_graph):
+    """``lyapunov_stability`` on the graph that ``floor_graph()`` returns, the
+    graph of the set's grid at its resolution floor; it is called once the
+    preconditions hold."""
+    grid = a_set.grid
     if not a_set:
         raise PreconditionError("empty invariant-set candidate")
     floor = grid.resolution_floor
     inv_eps = invariance_eps if invariance_eps is not None else floor
     if not is_graph_invariant(sys, a_set, inv_eps):
         raise PreconditionError("a_set is not forward-invariant at graph level")
-    g = build_graph(sys, grid, floor)
+    g = floor_graph()
     v_set = fatten(a_set, v_eps)
     w_schedule = default_delta_schedule(v_eps, floor, "v_eps")
     k = _first_true(len(w_schedule), lambda i: _reach_within(
@@ -493,9 +505,9 @@ def omega_limit(
     sys: System,
     x,
     grid: Grid,
-    burn_in: int = 10_000,
-    window: int = 2048,
-    max_steps: int = 300_000,
+    burn_in: int = BURN_IN,
+    window: int = WINDOW,
+    max_steps: int = TAIL_STEPS,
     control=None,
 ) -> OmegaResult:
     """Cell cover of the sampled orbit tail.
@@ -509,9 +521,17 @@ def omega_limit(
                                 "multivalued systems")
     u = control if control is not None else sys.controls[0]
     pt = advance(sys, sys.domain.canon(x)[None, :], u, burn_in)
-    lanes = next(run(sys, pt, grid, max_steps, 0.0, window, u=u))   # no revisit check
-    return OmegaResult(lanes.cellset(0), bool(lanes.reason[0] == STALL),
-                       burn_in + int(lanes.stop[0]))
+    return next(_omega_tails(sys, pt, grid, u, burn_in, window, max_steps))
+
+
+def _omega_tails(sys, pts, grid, u, burn_in, window, max_steps):
+    """The ``omega_limit`` of each orbit whose step burn_in is a row of
+    ``pts``, in order: the tails run as the lanes of one engine call, read
+    lazily."""
+    for lanes in run(sys, pts, grid, max_steps, 0.0, window, u=u):   # no revisit check
+        for b in range(lanes.n_lanes):
+            yield OmegaResult(lanes.cellset(b), bool(lanes.reason[b] == STALL),
+                              burn_in + int(lanes.stop[b]))
 
 
 # --------------------------------------------------------------------------
@@ -562,27 +582,29 @@ def dichotomy_report(
     """
     census = minimal_sets(sys, eps0, levels, base_grid,
                           orbit_max_steps=orbit_max_steps)
+    grid_f = census.grid_finest
+    # one floor graph for every component, built for the first that needs it
+    floor_graph = functools.cache(lambda: build_graph(sys, grid_f, grid_f.resolution_floor))
     notes = []
     for comp in census.components:
         try:
-            sres = lyapunov_stability(
-                sys, comp.cells, v_eps,
-                invariance_eps=census.eps_finest,
-                orbit_max_steps=orbit_max_steps,
-            )
+            sres = _stability(sys, comp.cells, v_eps, census.eps_finest,
+                              orbit_max_steps, floor_graph)
             comp.stability = sres.flag
             comp.stability_result = sres
         except PreconditionError as exc:
             comp.stability = "inconclusive"
             notes.append(f"stability precondition failed: {exc}")
+    floor_graph.cache_clear()
 
+    # each sample's robustness orbit, kept up to its step BURN_IN, which is
+    # where its omega tail starts
     samples = [sys.domain.canon(p) for p in sample_points]
-    certs = []
-    for p in samples:
-        certs.append(
-            robustness_check(sys, p, robust_eps, grid=census.grid_finest,
-                             max_steps=orbit_max_steps)
-        )
+    certs, ends = [], []
+    for orbit, cert in _robust_samples(sys, samples, robust_eps, grid_f, orbit_max_steps):
+        certs.append(cert)
+        k = min(len(orbit.points) - 1, BURN_IN)
+        ends.append((orbit.points[k].copy(), k))
     all_robust = all(c.verdict == "robust-at-resolution" for c in certs)
 
     if not all_robust:
@@ -616,12 +638,16 @@ def dichotomy_report(
         hull = fatten(
             comp.cells, census.eps_finest + census.grid_finest.cell_diameter
         )
-        attraction = True
-        for p in samples:
-            om = omega_limit(sys, p, census.grid_finest)
-            if not om.stabilized or not om.cells.issubset(hull):
-                attraction = False
-                break
+        # a trajectory keeps its steps 0, 1, ... in order, so each burn-in
+        # carries on from the orbit's last kept point, the lanes together
+        u = sys.controls[0]
+        pts = np.array([p for p, _ in ends])
+        left = BURN_IN - np.array([k for _, k in ends])
+        for j in range(int(left.max(initial=0))):
+            on = left > j
+            pts[on] = sys.image_points(pts[on], u)
+        attraction = all(om.stabilized and om.cells.issubset(hull) for om in
+                         _omega_tails(sys, pts, grid_f, u, BURN_IN, WINDOW, TAIL_STEPS))
     return DichotomyReport(
         sys.name, census, [tuple(float(v) for v in p) for p in samples],
         certs, consistency, attraction, notes,

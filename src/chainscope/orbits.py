@@ -41,8 +41,9 @@ class ReachResult:
 # why a lane of the orbit engine stopped; on a tie the smaller code wins
 REVISIT, OUTSIDE, HIT, STALL, BUDGET = range(5)
 _NEVER = np.iinfo(np.int64).max
-# lanes run in blocks that start at one lane and double, up to _LANE_BLOCK
-# lanes and as long as a block keeps about _BLOCK_POINTS points at most
+# lanes run in blocks that start at _FIRST_BLOCK lanes and double, up to
+# _LANE_BLOCK lanes and as long as a block keeps about _BLOCK_POINTS points at most
+_FIRST_BLOCK = 8
 _LANE_BLOCK = 256
 _BLOCK_POINTS = 1 << 16
 # lane-steps per time chunk; chunks start at _FIRST_CHUNK steps and double
@@ -75,12 +76,15 @@ def reaches(sys, starts, grid, max_steps, tol=1e-12, stall=None, seq=None):
 def _blocks(run_block, starts):
     """``run_block`` on consecutive blocks of the rows of ``starts``, lazily.
 
-    Blocks start at one lane and double, up to _LANE_BLOCK lanes and as long
-    as the last block's kept points per lane, times the lanes, stay within
-    _BLOCK_POINTS: memory follows the length of the orbits, and a reader
-    that stops early has run at most three times the lanes it read.
+    The first block takes the first _FIRST_BLOCK rows (all, if fewer), so a
+    few orbits read together share one block; it keeps at most _FIRST_BLOCK
+    lanes times the step budget of points.  Later blocks double, up to
+    _LANE_BLOCK lanes and as long as the last block's kept points per lane,
+    times the lanes, stay within _BLOCK_POINTS: memory follows the length of
+    the orbits.  A reader that stops early has run the first block, or fewer
+    than three times the lanes it read.
     """
-    b0, size = 0, 1
+    b0, size = 0, _FIRST_BLOCK
     while b0 < len(starts):
         lanes = run_block(starts[b0:b0 + size])
         lanes.b0 = b0

@@ -359,6 +359,18 @@ def test_verify_lemma2_huge_n_max_ends_at_the_repeat(tmp_path):
     assert outcomes[0] == outcomes[1]
 
 
+def test_verify_lemma2_instances_past_the_bound_end_at_once(tmp_path, capsys):
+    cfg = {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+           "property": "lemma2", "instances": 10 ** 12}
+    path = write_cfg(tmp_path, "v.json", cfg)
+    t0 = time.perf_counter()
+    code = run_cli(["verify", "--config", path, "--out", str(tmp_path / "o.json"),
+                    "--quiet"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "config error: key 'instances' must be at most 1000" in capsys.readouterr().err
+
+
 def test_verify_initial_fattening_exit_zero(tmp_path):
     cfg = {"system": {"name": "identity"}, "grid": {"cells_per_dim": [64]},
            "property": "initial-fattening", "start": [0.2], "eps0": 0.1,

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chainscope.errors import PreconditionError
+from chainscope import minimal
+from chainscope.errors import ChainscopeError, PreconditionError
 from chainscope.geometry import CellSet, Domain, Grid, fatten
 from chainscope.minimal import (
     _coarsen_indices,
@@ -13,7 +18,9 @@ from chainscope.minimal import (
     omega_limit,
     weak_basin,
 )
+from chainscope.reachability import robustness_check
 from chainscope.systems import (
+    System,
     affine2d,
     constant,
     drift_control,
@@ -391,6 +398,143 @@ def test_dichotomy_unique_minimal_attracts_omega_limits():
     for x in ([0.3], [0.7]):
         om = omega_limit(logistic(2.8), x, rep.census.grid_finest)
         assert om.cells.issubset(hull)
+
+
+def _dichotomy_oracle(sys, points, eps0, levels, base_grid, robust_eps, v_eps,
+                      max_steps):
+    """The per-sample loop: ``lyapunov_stability`` per component, then
+    ``robustness_check`` and ``omega_limit`` one sample at a time, attraction
+    with its early break.  Returns the census with its stabilities, the
+    stability notes, the certificates and the attraction flag."""
+    census = minimal_sets(sys, eps0, levels, base_grid, orbit_max_steps=max_steps)
+    notes = []
+    for comp in census.components:
+        try:
+            comp.stability_result = lyapunov_stability(
+                sys, comp.cells, v_eps, census.eps_finest, max_steps)
+            comp.stability = comp.stability_result.flag
+        except PreconditionError as exc:
+            notes.append(f"stability precondition failed: {exc}")
+    samples = [sys.domain.canon(p) for p in points]
+    certs = [robustness_check(sys, p, robust_eps, grid=census.grid_finest,
+                              max_steps=max_steps) for p in samples]
+    attraction = None
+    if (all(c.verdict == "robust-at-resolution" for c in certs)
+            and census.count == "1" and not sys.multivalued
+            and census.components[0].stability == "stable-certified"):
+        hull = fatten(census.components[0].cells,
+                      census.eps_finest + census.grid_finest.cell_diameter)
+        attraction = True
+        for p in samples:
+            om = omega_limit(sys, p, census.grid_finest, minimal.BURN_IN,
+                             minimal.WINDOW, minimal.TAIL_STEPS)
+            if not om.stabilized or not om.cells.issubset(hull):
+                attraction = False
+                break
+    return census, notes, certs, attraction
+
+
+# name: (system, base grid, eps0, robust_eps and v_eps), two levels each
+DICHOTOMY_SYSTEMS = {
+    "rotation": (lambda: rotation(GOLDEN), Grid(Domain.circle(), 64), 4.5 / 64, 0.1),
+    "logistic": (lambda: logistic(2.8), Grid(BOX, 64), 4.5 / 64, 0.2),
+    "square": (square, Grid(BOX, 64), 4.5 / 64, 0.1),
+    "constant": (lambda: constant(0.3), Grid(BOX, 64), 4.5 / 64, 0.1),
+    "identity": (identity_map, Grid(BOX, 64), 4.5 / 64, 0.1),
+    "affine2d": (lambda: affine2d([[0.5, 0.1], [0.0, 0.6]], [0.2, 0.15]),
+                 Grid(Domain.box([[0.0, 1.0], [0.0, 1.0]]), [8, 8]), 0.8, 1.5),
+    "drift_control": (lambda: drift_control(0.5), Grid(Domain.box([[-1.0, 1.0]]), 64),
+                      9 / 64, 0.2),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(DICHOTOMY_SYSTEMS)),
+    unit=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=12),
+    max_steps=st.sampled_from([200_000, 150]),
+    # omega_limit's burn-in, window and tail budget: the defaults; a burn-in
+    # among the lengths of the rotation's orbits (205 to 232 steps); tails
+    # too short to stabilize
+    omega=st.sampled_from([None, (220, 64, 5000), (5, 2048, 300)]),
+)
+# twelve samples, past the first block, on orbits longer and shorter than
+# the burn-in
+@example(name="rotation", unit=[(i / 12, 0.0) for i in range(12)], max_steps=200_000,
+         omega=(220, 64, 5000))
+# orbits of different lengths, each burn-in carried on for its own steps
+@example(name="rotation", unit=[(0.2, 0.0), (0.3, 0.0), (0.91, 0.0)],
+         max_steps=200_000, omega=None)
+# revisit-stopped orbits, and tails that do not stabilize: attraction False
+@example(name="constant", unit=[(0.9, 0.0), (0.1, 0.0)], max_steps=200_000,
+         omega=(5, 2048, 300))
+# a non-robust sample, and orbits that do not converge
+@example(name="square", unit=[(0.5, 0.0), (1.0, 0.0)], max_steps=200_000, omega=None)
+@example(name="rotation", unit=[(0.2, 0.0), (0.7, 0.0)], max_steps=150, omega=None)
+def test_dichotomy_samples_match_the_per_sample_loop(name, unit, max_steps, omega):
+    """Robustness orbits as the lanes of one engine call, each omega tail
+    burnt in from its sample's orbit and the tails as lanes, one floor graph:
+    every field that these feed equals the per-sample loop's, errors
+    included, and so does every omega tail read (the report keeps only the
+    attraction flag).  Consistency and the other notes follow from these
+    fields by code that the batching leaves alone."""
+    make, grid, eps0, eps = DICHOTOMY_SYSTEMS[name]
+    sys = make()
+    lo, hi = sys.domain.bounds[:, 0], sys.domain.bounds[:, 1]
+    points = [lo + np.array(u[:sys.domain.ndim]) * (hi - lo) for u in unit]
+    kw = dict(eps0=eps0, levels=2, base_grid=grid, robust_eps=eps, v_eps=eps)
+    read, tails = [], minimal._omega_tails
+
+    def spy(*args):
+        for om in tails(*args):
+            read.append((om.cells.mask.tobytes(), om.stabilized, om.steps))
+            yield om
+
+    consts = dict(zip(("BURN_IN", "WINDOW", "TAIL_STEPS"), omega or ()))
+    with mock.patch.multiple(minimal, _omega_tails=spy, **consts):
+        try:
+            rep = dichotomy_report(sys, points, orbit_max_steps=max_steps, **kw)
+        except ChainscopeError as exc:
+            rep = exc
+        got, read[:] = read[:], []
+        try:
+            want = _dichotomy_oracle(sys, points, max_steps=max_steps, **kw)
+        except ChainscopeError as exc:
+            want = exc
+    assert got == read
+    if isinstance(want, Exception):
+        assert (type(rep), str(rep)) == (type(want), str(want))
+        return
+    census, notes, certs, attraction = want
+    assert rep.census.as_record() == census.as_record()
+    assert ([c.stability_result and c.stability_result.as_record()
+             for c in rep.census.components]
+            == [c.stability_result and c.stability_result.as_record()
+                for c in census.components])
+    assert rep.notes[:len(notes)] == notes
+    assert rep.robustness == certs
+    assert rep.sample_points == [tuple(float(v) for v in sys.domain.canon(p))
+                                 for p in points]
+    assert rep.global_attraction is attraction
+
+
+def test_golden_dichotomy_map_calls():
+    """The golden two-sample dichotomy at 512 cells and 2 levels: the census
+    orbit (10,295 steps), both robustness orbits as two lanes (9,784 steps),
+    the burn-ins carried on from them (216 steps) and both omega tails as two
+    lanes (3,641 steps).  One sample at a time it took 57,222 calls."""
+    base = rotation(0.6180339887498949)
+    calls = [0]
+
+    def f(pts, u):
+        calls[0] += 1
+        return base.map_fn(pts, u)
+
+    sys = System(base.name, base.domain, base.params, base.controls, base.lipschitz, f)
+    rep = dichotomy_report(sys, [0.8444218515250481, 0.7579544029403025], eps0=0.01,
+                           levels=2, base_grid=Grid(Domain.circle(), 512))
+    assert rep.global_attraction is True
+    assert calls[0] <= 24_300
 
 
 def test_is_graph_invariant_examples():

@@ -386,13 +386,15 @@ def test_each_lane_equals_its_single_run(name, unit, stall, max_steps, tol):
 def test_blocks_run_lazily_double_and_shrink_for_long_orbits():
     starts = np.linspace(0.05, 0.95, 40)[:, None]
     blocks = reach_lanes(square(), starts, Grid(BOX, 64), 1000)
-    assert [next(blocks).n_lanes for _ in range(4)] == [1, 2, 4, 8]
-    assert [blk.b0 for blk in blocks] == [15, 31]   # 16 lanes, then the 9 left
+    assert [next(blocks).n_lanes for _ in range(2)] == [8, 16]
+    assert [blk.b0 for blk in blocks] == [24]   # 32 lanes, cut to the 16 left
+    # fewer starts than the first block share one block
+    assert [blk.n_lanes for blk in reach_lanes(square(), starts[:3], Grid(BOX, 64), 1000)] == [3]
     # golden-rotation orbits at 512 cells keep about 5000 points each
     with mock.patch.object(orbits, "_BLOCK_POINTS", 10_000):
         sizes = [blk.n_lanes for blk in
-                 reach_lanes(rotation(GOLDEN), starts[:8], Grid(CIRCLE, 512), 100_000)]
-    assert sizes[0] == 1 and max(sizes) <= 2 and sum(sizes) == 8
+                 reach_lanes(rotation(GOLDEN), starts[:16], Grid(CIRCLE, 512), 100_000)]
+    assert sizes[0] == 8 and max(sizes[1:]) <= 2 and sum(sizes) == 16
 
 
 def counting(sys):
