@@ -43,7 +43,8 @@ EXIT_CONFIG = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_VERIFY_FAIL = 3
 # verify lemma2 runs one radius ladder and writes one report entry per
-# instance; this bounds the loop and the report (about 130 KB at the bound)
+# instance, and dichotomy certifies each sample point; this bounds both loops
+# and the lemma2 report (about 130 KB at the bound)
 MAX_INSTANCES = 1000
 
 GLOBAL_KEYS = {"system", "domain", "grid", "seed"}
@@ -233,6 +234,10 @@ def validate_config(command: str, cfg: dict) -> dict:
             raise ConfigError(f"key {key!r} must be a non-negative integer")
     if cfg.get("instances", 0) > MAX_INSTANCES:
         raise ConfigError(f"key 'instances' must be at most {MAX_INSTANCES}")
+    samples = cfg.get("sample_points")
+    if isinstance(samples, list) and len(samples) > MAX_INSTANCES:
+        raise ConfigError(
+            f"key 'sample_points' must hold at most {MAX_INSTANCES} points")
     return cfg
 
 

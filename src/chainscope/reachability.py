@@ -468,23 +468,20 @@ def find_uniform_delta(
     found = None
     for delta in delta_schedule:
         g_d = build_graph(sys, grid, delta)
-        a = fatten(start, delta).mask
-        b = start.mask.copy()
-        ok, fail_n = True, None
-        saved, power, lam = (a, b), 1, 0
+        a, b = fatten(start, delta), start
+        saved, power, lam, fail_n = (a, b), 1, 0, None
         for n in range(1, n_max + 1):
-            a = g_d._impl.image_of(a)
-            b = g_eps._impl.image_of(b)
-            if np.any(a & ~b):
-                ok, fail_n = False, n
+            a, b = g_d.image_of(a), g_eps.image_of(b)
+            if not a.issubset(b):
+                fail_n = n
                 break
-            if np.array_equal(a, saved[0]) and np.array_equal(b, saved[1]):
+            if (a, b) == saved:
                 break
             lam += 1
             if lam == power:
                 saved, power, lam = (a, b), 2 * power, 0
-        entries.append((delta, ok, fail_n))
-        if ok:
+        entries.append((delta, fail_n is None, fail_n))
+        if fail_n is None:
             found = delta
             break
     return found, UniformDeltaReport(eps, n_max, entries, found)
@@ -685,8 +682,8 @@ def safety_check(
     verdict = None
     if eps_safe:
         try:
-            cert = robustness_check(sys, x, eps, delta_schedule, grid,
-                                    max_steps=max_steps)
+            _, schedule = _radius_schedule(sys, eps, delta_schedule, grid)
+            cert = _certify(sys, x, eps, schedule, grid, orbit)
             verdict = cert.verdict
             if cert.verdict == "robust-at-resolution":
                 guarantee = cert.delta_found

@@ -100,10 +100,10 @@ def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
     ``eps``, every cell touching that set's closed eps-neighborhood.
 
     ``cells`` indexes the m sources among all cells: flat indices or a slice.
-    An image is R (start, length) ranges of flat indices, as ``_RangeGraph``
-    stores them: arrays of shape (n_controls * R, m), where rows j * R to
-    j * R + R - 1 hold control j's images.  1-D: R = 1, the ranges of
-    ``_index_ranges``.  2-D: one range per grid row of the image's window.
+    An image is R (start, length) ranges of flat indices, as
+    ``TransitionGraph`` stores them: arrays of shape (n_controls * R, m),
+    where rows j * R to j * R + R - 1 hold control j's images.  1-D: R = 1,
+    the ranges of ``_index_ranges``.  2-D: one range per window row.
     The cells touching a ball form one column interval per grid row, holding
     the centre's column, and every row of the mask ``Grid.fatten_offsets(eps)``
     is an interval centred on column 0; so the dilated image is one column

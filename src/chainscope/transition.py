@@ -22,10 +22,10 @@ the cells touching a ball form one column interval per row, holding the
 centre's column, and each row of the fattening mask is an interval centred
 on its middle, so the fattened image is one interval per row as well.
 Among the candidates each range is still one range, taken modulo m, found
-from a prefix count of the candidates.  So every graph is stored as
+from a prefix count of the candidates.  So a ``TransitionGraph`` is its
 (start, length) arrays, one block of rows per control, and set-valued steps
 run as difference-array sweeps over the ranges: no sweep materializes an
-edge.  For the SCC pass a graph lays its ranges out as CSR in place, 12
+edge.  For the SCC pass the graph lays its ranges out as CSR in place, 12
 bytes per edge (int32 indices, float64 data: scipy copies neither), each
 cell's ranges made disjoint and sorted first: scipy's strong
 ``connected_components`` (1.17) can hang on a repeated edge.
@@ -40,111 +40,31 @@ from .errors import EmptySetError, GridMismatchError
 from .geometry import CellSet, Grid, _range_union
 from .systems import System, _cell_images, _check_edge_cap
 
-class _RangeGraph:
-    """Successor ranges among n candidates: successors(c) are the candidates
-    (start[r, c] + i) % n for 0 <= i < length[r, c], over every row r.
-
-    Rows come ``controls`` blocks of equal size, one block per control: one
-    range per control in 1-D, one per grid row of the image in 2-D.  One
-    control's ranges never share a cell.  0 <= start <= n and 0 <= length
-    <= n: a range is empty when no candidate lies in its cells, and starts
-    at n, which is 0 modulo n, when none lies from its first cell on.  Box
-    and 2-D ranges never pass n - 1; circle ranges may wrap past it, so
-    membership is always taken modulo n.
-    """
-
-    def __init__(self, n: int, start: np.ndarray, length: np.ndarray, controls: int):
-        self.n = n
-        self.start = start       # (rows, n) int64, or int32 in 2-D or renumbered
-        self.length = length
-        self.controls = controls
-
-    def successors(self, c: int) -> np.ndarray:
-        s, l = self.start[:, c], self.length[:, c]
-        # one arange over all the ranges, shifted range by range onto s
-        return np.unique((np.repeat(s - (np.cumsum(l) - l), l)
-                          + np.arange(l.sum())) % self.n)
-
-    def image_of(self, mask: np.ndarray) -> np.ndarray:
-        idx = np.flatnonzero(mask.reshape(-1))
-        return _range_union(self.n, self.start[:, idx].ravel(),
-                            self.length[:, idx].ravel()).reshape(mask.shape)
-
-    def preimage_of(self, mask: np.ndarray) -> np.ndarray:
-        prefix = np.concatenate([[0], np.cumsum(mask.reshape(-1), dtype=np.int64)])
-        ends = self.start + self.length
-        # cells in [start, min(end, n)) plus, for a wrapped range, [0, end - n)
-        cnt = (prefix[np.minimum(ends, self.n)] - prefix[self.start]
-               + prefix[np.maximum(ends - self.n, 0)])
-        return np.any(cnt > 0, axis=0).reshape(mask.shape)
-
-    def has_edges(self, src: np.ndarray, dst: int) -> np.ndarray:
-        """Per source in ``src``: whether ``dst`` is one of its successors."""
-        hit = (dst - self.start[:, src]) % self.n < self.length[:, src]
-        return np.any(hit, axis=0)
-
-    def self_loops(self) -> np.ndarray:
-        return np.any((np.arange(self.n) - self.start) % self.n < self.length,
-                      axis=0)
-
-    def edge_count(self) -> int:
-        """Distinct edges: ranges of several controls may share a cell."""
-        if self.controls == 1:
-            return int(self.length.sum())
-        return int(self._disjoint_ranges()[2].sum())
-
-    def to_csr(self) -> sp.csr_matrix:
-        """The adjacency as CSR at 12 bytes per edge; row c lists c's
-        successors in order, once each.  The int32 indices are one cumsum of
-        steps: +1 inside a range and a jump at each range's first entry."""
-        start, length, row_len = self._disjoint_ranges()
-        indices = np.ones(_check_edge_cap(int(row_len.sum())), np.int32)
-        indices[np.cumsum(length) - length] = start - np.concatenate(
-            [[0], start[:-1] + length[:-1] - 1])
-        del start, length   # the float64 data comes last, beside indices only
-        np.cumsum(indices, dtype=np.int32, out=indices)
-        indptr = np.concatenate([[0], np.cumsum(row_len)])
-        return sp.csr_matrix((np.ones(indices.size), indices, indptr),
-                             shape=(self.n, self.n))
-
-    def _disjoint_ranges(self):
-        """Each cell's successors as sorted disjoint ranges that do not wrap:
-        (start, length) in cell order, and the successor count per cell."""
-        n = self.n
-        if not n:
-            return (np.zeros(0, np.int64),) * 3
-        # pieces [lo, hi): each range's wrapped part (lo = 0; empty unless it
-        # wraps), then the ranges, shifted by cell * (n + 1).  One control's
-        # ranges are disjoint and in order already; several controls' are
-        # sorted by start, and one running max of hi merges them cell by cell
-        start, end = self.start, self.start + self.length
-        if self.controls > 1:
-            order = np.argsort(start, axis=0, kind="stable")
-            start, end = (np.take_along_axis(x, order, 0) for x in (start, end))
-        lo = np.concatenate([0 * end, start])
-        hi = np.concatenate([np.maximum(end - n, 0), np.minimum(end, n)])
-        shift = (n + 1) * np.arange(n)
-        lo, hi = (lo + shift).T.ravel(), (hi + shift).T.ravel()
-        if self.controls > 1:
-            hi = np.maximum.accumulate(hi)
-            first = np.flatnonzero(np.concatenate([[True], lo[1:] > hi[:-1]]))
-            lo, hi = lo[first], hi[np.append(first[1:], lo.size) - 1]
-        length = hi - lo
-        start, length = lo[length > 0], length[length > 0]
-        cell = start // (n + 1)
-        return start - cell * (n + 1), length, np.bincount(cell, length, n).astype(np.int64)
-
 
 class TransitionGraph:
     """One-step over-approximation of the eps-perturbed multifunction,
     induced on the candidate cells ``cells`` (increasing; every cell unless
-    given).  Cells outside the candidates have no edges."""
+    given).  Cells outside the candidates have no edges.
 
-    def __init__(self, sys: System, grid: Grid, eps: float, impl, cells=None):
+    Among the m candidates, the successors of candidate i are the candidates
+    (start[r, i] + j) % m for 0 <= j < length[r, i], over every row r.  Rows
+    come in one block of equal size per control of ``sys``: one range per
+    control in 1-D, one per grid row of the image in 2-D.  One control's
+    ranges never share a cell.  0 <= start <= m and 0 <= length <= m: a
+    range is empty when no candidate lies in its cells, and starts at m,
+    which is 0 modulo m, when none lies from its first cell on.  Box and 2-D
+    ranges never pass m - 1; circle ranges may wrap past it, so membership
+    is always taken modulo m.
+    """
+
+    def __init__(self, sys: System, grid: Grid, eps: float,
+                 start: np.ndarray, length: np.ndarray, cells=None):
         self.system = sys
         self.grid = grid
         self.eps = float(eps)
-        self._impl = impl
+        self.start = start       # (rows, m) int64, or int32 in 2-D or renumbered
+        self.length = length
+        self.controls = len(sys.controls)
         self.cells = np.arange(grid.n_cells) if cells is None else cells
 
     @property
@@ -171,28 +91,91 @@ class TransitionGraph:
         return i
 
     def successors(self, cell: int) -> np.ndarray:
-        return self.cells[self._impl.successors(self._label(int(cell)))]
-
-    def _step(self, step, cells: CellSet) -> CellSet:
-        return CellSet(self.grid, self._scatter(step(self._gather(cells.mask))))
+        i = self._label(int(cell))
+        s, l = self.start[:, i], self.length[:, i]
+        # one arange over all the ranges, shifted range by range onto s
+        local = np.repeat(s - (np.cumsum(l) - l), l) + np.arange(l.sum())
+        return self.cells[np.unique(local % self.cells.size)]
 
     def image_of(self, cells: CellSet) -> CellSet:
-        return self._step(self._impl.image_of, cells)
+        return CellSet(self.grid, self._scatter(self._image(self._gather(cells.mask))))
 
     def preimage_of(self, cells: CellSet) -> CellSet:
         """Cells with at least one successor inside ``cells`` (lower pre-image)."""
-        return self._step(self._impl.preimage_of, cells)
+        return CellSet(self.grid, self._scatter(self._preimage(self._gather(cells.mask))))
+
+    def _image(self, local: np.ndarray) -> np.ndarray:
+        """The successors of a candidate mask, as a candidate mask."""
+        idx = np.flatnonzero(local)
+        return _range_union(self.cells.size, self.start[:, idx].ravel(),
+                            self.length[:, idx].ravel())
+
+    def _preimage(self, local: np.ndarray) -> np.ndarray:
+        """The candidates with a successor in a candidate mask."""
+        m = self.cells.size
+        prefix = np.concatenate([[0], np.cumsum(local, dtype=np.int64)])
+        ends = self.start + self.length
+        # cells in [start, min(end, m)) plus, for a wrapped range, [0, end - m)
+        cnt = (prefix[np.minimum(ends, m)] - prefix[self.start]
+               + prefix[np.maximum(ends - m, 0)])
+        return np.any(cnt > 0, axis=0)
+
+    def _hits(self, src, dst: int) -> np.ndarray:
+        """Per row and candidate in ``src``: whether its range holds ``dst``."""
+        return (dst - self.start[:, src]) % self.cells.size < self.length[:, src]
 
     def self_loops(self) -> np.ndarray:
         """Per candidate, in candidate order: whether it is its own successor."""
-        return self._impl.self_loops().reshape(-1)
+        return np.any(self._hits(slice(None), np.arange(self.cells.size)), axis=0)
 
     def edge_count(self) -> int:
-        return self._impl.edge_count()
+        """Distinct edges: ranges of several controls may share a cell."""
+        if self.controls == 1:
+            return int(self.length.sum())
+        return int(self._disjoint_ranges()[2].sum())
 
     def to_csr(self) -> sp.csr_matrix:
-        """The adjacency among the candidates, numbered 0..m-1."""
-        return self._impl.to_csr()
+        """The adjacency among the candidates, numbered 0..m-1, as CSR at 12
+        bytes per edge; row i lists i's successors in order, once each.  The
+        int32 indices are one cumsum of steps: +1 inside a range and a jump
+        at each range's first entry."""
+        m = self.cells.size
+        start, length, row_len = self._disjoint_ranges()
+        indices = np.ones(_check_edge_cap(int(row_len.sum())), np.int32)
+        indices[np.cumsum(length) - length] = start - np.concatenate(
+            [[0], start[:-1] + length[:-1] - 1])
+        del start, length   # the float64 data comes last, beside indices only
+        np.cumsum(indices, dtype=np.int32, out=indices)
+        indptr = np.concatenate([[0], np.cumsum(row_len)])
+        return sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                             shape=(m, m))
+
+    def _disjoint_ranges(self):
+        """Each cell's successors as sorted disjoint ranges that do not wrap:
+        (start, length) in cell order, and the successor count per cell."""
+        m = self.cells.size
+        if not m:
+            return (np.zeros(0, np.int64),) * 3
+        # pieces [lo, hi): each range's wrapped part (lo = 0; empty unless it
+        # wraps), then the ranges, shifted by cell * (m + 1).  One control's
+        # ranges are disjoint and in order already; several controls' are
+        # sorted by start, and one running max of hi merges them cell by cell
+        start, end = self.start, self.start + self.length
+        if self.controls > 1:
+            order = np.argsort(start, axis=0, kind="stable")
+            start, end = (np.take_along_axis(x, order, 0) for x in (start, end))
+        lo = np.concatenate([0 * end, start])
+        hi = np.concatenate([np.maximum(end - m, 0), np.minimum(end, m)])
+        shift = (m + 1) * np.arange(m)
+        lo, hi = (lo + shift).T.ravel(), (hi + shift).T.ravel()
+        if self.controls > 1:
+            hi = np.maximum.accumulate(hi)
+            first = np.flatnonzero(np.concatenate([[True], lo[1:] > hi[:-1]]))
+            lo, hi = lo[first], hi[np.append(first[1:], lo.size) - 1]
+        length = hi - lo
+        start, length = lo[length > 0], length[length > 0]
+        cell = start // (m + 1)
+        return start - cell * (m + 1), length, np.bincount(cell, length, m).astype(np.int64)
 
     def dump_edges(self, fp):
         """Textual edge list 'src -> dst1,dst2,...' sorted by src, one line
@@ -226,8 +209,7 @@ def build_graph(sys: System, grid: Grid, eps: float,
     start, length = _cell_images(sys, grid, sources, eps)
     if rank is not None:
         start, length = rank[start], rank[start + length] - rank[start]
-    impl = _RangeGraph(m, start, length, len(sys.controls))
-    return TransitionGraph(sys, grid, eps, impl, idx)
+    return TransitionGraph(sys, grid, eps, start, length, idx)
 
 
 def _closure(g: TransitionGraph, step, seed: CellSet,
@@ -260,7 +242,7 @@ def forward_reach(g: TransitionGraph, start: CellSet) -> CellSet:
     """Least fixed point containing start and closed under graph successors."""
     if not start:
         raise EmptySetError("forward_reach from an empty start set")
-    return _closure(g, g._impl.image_of, start)
+    return _closure(g, g._image, start)
 
 
 def _reach_within(g: TransitionGraph, start: CellSet, allowed: CellSet) -> bool:
@@ -268,7 +250,7 @@ def _reach_within(g: TransitionGraph, start: CellSet, allowed: CellSet) -> bool:
     stops at the first level that leaves it."""
     if not start:
         raise EmptySetError("forward_reach from an empty start set")
-    return _closure(g, g._impl.image_of, start, allowed=allowed) is not None
+    return _closure(g, g._image, start, allowed=allowed) is not None
 
 
 def forward_reach_depths(g: TransitionGraph, start: CellSet):
@@ -276,7 +258,7 @@ def forward_reach_depths(g: TransitionGraph, start: CellSet):
     if not start:
         raise EmptySetError("forward_reach from an empty start set")
     local = np.where(g._gather(start.mask), 0, -1)
-    reached = _closure(g, g._impl.image_of, start, local)
+    reached = _closure(g, g._image, start, local)
     depths = np.full(g.n_cells, -1, dtype=np.int64)
     depths[g.cells] = local
     depths[start.indices()] = 0
@@ -287,7 +269,7 @@ def backward_reach(g: TransitionGraph, target: CellSet) -> CellSet:
     """All cells whose forward reach intersects the target."""
     if not target:
         raise EmptySetError("backward_reach to an empty target set")
-    return _closure(g, g._impl.preimage_of, target)
+    return _closure(g, g._preimage, target)
 
 
 def recurrent_cells(g: TransitionGraph) -> list[CellSet]:
@@ -326,17 +308,17 @@ def extract_path(g: TransitionGraph, depths: np.ndarray, end_cell: int):
         cur = g._label(int(end_cell))
         for level in range(d, 0, -1):
             preds = np.flatnonzero(local == level - 1)
-            cur = int(preds[np.argmax(g._impl.has_edges(preds, cur))])
+            cur = int(preds[np.argmax(np.any(g._hits(preds, cur), axis=0))])
             path.append(int(g.cells[cur]))
     path.reverse()
     return path
 
 
 def edge_control(g: TransitionGraph, src: int, dst: int):
-    """A control value under which the edge src -> dst exists."""
-    start, length = _cell_images(g.system, g.grid, [src], g.eps)
-    hit = (dst - start[:, 0]) % g.n_cells < length[:, 0]
-    for u, ok in zip(g.system.controls, hit.reshape(len(g.system.controls), -1)):
+    """A control value under which the edge src -> dst exists: the first,
+    in ``sys.controls`` order, whose block of rows holds dst."""
+    hit = g._hits(g._label(int(src)), g._label(int(dst)))
+    for u, ok in zip(g.system.controls, hit.reshape(g.controls, -1)):
         if ok.any():
             return u
     raise ValueError(f"no edge {src} -> {dst}")

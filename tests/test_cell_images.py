@@ -223,6 +223,44 @@ def test_two_control_edges_need_the_right_control():
     assert edge_control(g, src, right) == 0.6
 
 
+def first_control_holding(g, src, dst):
+    """The first control, in ``sys.controls`` order, whose image of src,
+    imaged again by the cell-image kernel, holds dst; ValueError for a
+    non-edge."""
+    start, length = _cell_images(g.system, g.grid, [src], g.eps)
+    hit = (dst - start[:, 0]) % g.n_cells < length[:, 0]
+    for u, ok in zip(g.system.controls, hit.reshape(len(g.system.controls), -1)):
+        if ok.any():
+            return u
+    raise ValueError(f"no edge {src} -> {dst}")
+
+
+@pytest.mark.parametrize("sys,diameters", [
+    (drift_control(0.5, (-0.3, 0.0, 0.45)), 8),
+    (rotation(0.37), 4),
+], ids=["drift_control-overlapping", "rotation-wrapping"])
+def test_edge_control_is_the_first_control_whose_range_holds_dst(sys, diameters):
+    grid = Grid(sys.domain, 64)
+    g = build_graph(sys, grid, diameters * grid.cell_diameter)
+    overlaps = wraps = 0
+    for src in range(grid.n_cells):
+        start, length = _cell_images(sys, grid, [src], g.eps)
+        overlaps += np.count_nonzero(np.diff(start[:, 0]) < length[:-1, 0])
+        wraps += np.count_nonzero(start[:, 0] + length[:, 0] > grid.n_cells)
+        succ = set(g.successors(src).tolist())
+        for dst in range(grid.n_cells):
+            try:
+                want = first_control_holding(g, src, dst)
+            except ValueError:
+                assert dst not in succ, (src, dst)
+                with pytest.raises(ValueError):
+                    edge_control(g, src, dst)
+            else:
+                assert dst in succ, (src, dst)
+                assert edge_control(g, src, dst) == want, (src, dst)
+    assert overlaps if len(sys.controls) > 1 else wraps
+
+
 def test_affine2d_image_independent_of_batch():
     sys = affine2d([[0.3, 0.2], [-0.1, 0.4]], [0.3, 0.3])
     pts = np.random.default_rng(5).random((500, 2))

@@ -371,6 +371,22 @@ def test_verify_lemma2_instances_past_the_bound_end_at_once(tmp_path, capsys):
     assert "config error: key 'instances' must be at most 1000" in capsys.readouterr().err
 
 
+def test_dichotomy_sample_points_past_the_bound_end_at_once(tmp_path, capsys):
+    cfg = {"system": {"name": "logistic", "parameters": {"r": 3.7}},
+           "grid": {"cells_per_dim": [256]}, "sample_points": [[0.3]] * 1000,
+           "eps0": 0.1, "levels": 2, "eps": 0.1}
+    assert validate_config("dichotomy", cfg) is cfg
+    cfg["sample_points"].append([0.6])
+    path = write_cfg(tmp_path, "d.json", cfg)
+    t0 = time.perf_counter()
+    code = run_cli(["dichotomy", "--config", path, "--out",
+                    str(tmp_path / "o.json"), "--quiet"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: key 'sample_points' must hold at most 1000 points" in err
+
+
 def test_verify_initial_fattening_exit_zero(tmp_path):
     cfg = {"system": {"name": "identity"}, "grid": {"cells_per_dim": [64]},
            "property": "initial-fattening", "start": [0.2], "eps0": 0.1,

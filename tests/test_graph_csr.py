@@ -18,13 +18,15 @@ from scipy.sparse.csgraph import connected_components
 from chainscope import systems
 from chainscope.errors import ResourceLimitError
 from chainscope.geometry import CellSet, Domain, Grid
-from chainscope.systems import affine2d, drift_control, logistic, rotation, square
-from chainscope.transition import (
-    TransitionGraph,
-    _RangeGraph,
-    build_graph,
-    recurrent_cells,
+from chainscope.systems import (
+    System,
+    affine2d,
+    drift_control,
+    logistic,
+    rotation,
+    square,
 )
+from chainscope.transition import TransitionGraph, build_graph, recurrent_cells
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -37,17 +39,17 @@ def coo_csr(n, rows, cols):
     return m
 
 
-def oracle_range_csr(impl):
-    length = impl.length.ravel()
-    rows = np.repeat(np.tile(np.arange(impl.n), impl.start.shape[0]), length)
+def oracle_range_csr(g):
+    n, length = g.cells.size, g.length.ravel()
+    rows = np.repeat(np.tile(np.arange(n), g.start.shape[0]), length)
     cols = np.arange(int(length.sum()), dtype=np.int64)
-    cols += np.repeat(impl.start.ravel() - (np.cumsum(length) - length), length)
-    return coo_csr(impl.n, rows, cols % impl.n)
+    cols += np.repeat(g.start.ravel() - (np.cumsum(length) - length), length)
+    return coo_csr(n, rows, cols % n)
 
 
 def oracle_components(g):
     """One group per SCC label; keep those with two cells or a self-loop."""
-    _, labels = connected_components(oracle_range_csr(g._impl), directed=True,
+    _, labels = connected_components(oracle_range_csr(g), directed=True,
                                      connection="strong")
     loops = g.self_loops()
     order = np.argsort(labels, kind="stable")
@@ -61,7 +63,7 @@ def check_against_oracles(g):
     csr = g.to_csr()
     assert csr.indices.dtype == np.int32 and csr.data.dtype == np.float64
     assert np.all(csr.data == 1)
-    want = oracle_range_csr(g._impl)
+    want = oracle_range_csr(g)
     assert np.array_equal(csr.indptr, want.indptr)
     assert np.array_equal(csr.indices, want.indices)
     got = [c.indices() for c in recurrent_cells(g)]
@@ -92,10 +94,11 @@ def test_built_graph_csr_and_components_match_oracles(which, n, eps_frac):
 
 
 def range_graph(start, length):
+    """The graph of the given ranges on a circle grid, one row per control."""
     start, length = np.array(start, np.int64), np.array(length, np.int64)
-    n = start.shape[1]
-    return TransitionGraph(None, Grid(Domain.circle(), n), 1.0,
-                           _RangeGraph(n, start, length, start.shape[0]))
+    k, n = start.shape
+    sys = System("ranges", Domain.circle(), {}, tuple(range(k)), 1.0, None)
+    return TransitionGraph(sys, Grid(Domain.circle(), n), 1.0, start, length)
 
 
 @st.composite

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chainscope import reachability
 from chainscope.errors import ControlError, InconclusiveError, ResourceLimitError
 from chainscope.geometry import CellSet, Domain, Grid, fatten, hausdorff
+from chainscope.orbits import reaches
 from chainscope.reachability import (
     chain_reach,
     default_delta_schedule,
@@ -17,6 +19,7 @@ from chainscope.reachability import (
     verify_initial_fattening,
 )
 from chainscope.systems import (
+    affine2d,
     constant,
     drift_control,
     identity_map,
@@ -27,6 +30,7 @@ from chainscope.systems import (
 from chainscope.transition import build_graph
 
 BOX = Domain.box([[0.0, 1.0]])
+SKEW = affine2d([[0.5, 0.1], [0, 0.6]], [0.2, 0.15])
 
 
 # --------------------------------------------------------------------------
@@ -299,16 +303,17 @@ def plain_uniform_delta_entries(sys, start, eps, n_max):
 
 
 @pytest.mark.parametrize("sys,domain,cells,x,eps", [
-    (square(), BOX, 64, 0.3, 0.2),
-    (square(), BOX, 512, 0.05, 0.1),
-    (logistic(3.7), BOX, 1024, 0.4, 0.05),
-    (rotation(0.6180339887498949), Domain.circle(), 1024, 0.2, 0.05),
-    (identity_map(), BOX, 256, 0.5, 0.1),
-], ids=["square-64", "square-512", "logistic", "golden", "identity"])
+    (square(), BOX, 64, [0.3], 0.2),
+    (square(), BOX, 512, [0.05], 0.1),
+    (logistic(3.7), BOX, 1024, [0.4], 0.05),
+    (rotation(0.6180339887498949), Domain.circle(), 1024, [0.2], 0.05),
+    (identity_map(), BOX, 256, [0.5], 0.1),
+    (SKEW, SKEW.domain, (32, 32), [0.3, 0.4], 0.5),
+], ids=["square-64", "square-512", "logistic", "golden", "identity", "affine2d"])
 def test_uniform_delta_stops_at_the_first_repeat(sys, domain, cells, x, eps):
     # past the first repeat of the pair of images every pair was checked
     # before: the entries equal a check of every n, and n_max 10^12 ends
-    start = CellSet.from_points(Grid(domain, cells), [[x]])
+    start = CellSet.from_points(Grid(domain, cells), [x])
     want = plain_uniform_delta_entries(sys, start, eps, 200)
     assert find_uniform_delta(sys, start, eps, 200)[1].entries == want
     assert find_uniform_delta(sys, start, eps, 10 ** 12)[1].entries == want
@@ -390,3 +395,18 @@ def test_safety_identity_no_guarantee():
     assert rep.eps_safe
     assert rep.guarantee_delta is None
     assert rep.robustness_verdict == "non-robust-at-resolution"
+
+
+def test_safety_runs_its_orbit_once(monkeypatch):
+    # the robustness certificate reuses the orbit that decided eps-safety
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].copy())
+        return reaches(*args, **kwargs)
+
+    monkeypatch.setattr(reachability, "reaches", counted)
+    g = Grid(BOX, 512)
+    rep = safety_check(square(), 0.5, CellSet.from_box(g, [0.0], [0.6]), 0.05)
+    assert rep.robustness_verdict == "robust-at-resolution"
+    assert len(calls) == 1 and calls[0].tolist() == [[0.5]]
