@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     ConfigError,
@@ -513,7 +512,8 @@ def nearest_distances(domain: Domain, points: np.ndarray, ref: np.ndarray) -> np
 
     In 1-D a sorted search: the nearest point is a neighbor in cyclic
     order (on a box the wrapped neighbor is never the nearer one).  In 2-D
-    a k-d tree, which computes ``Domain.distances`` bit for bit.
+    a k-d tree, which computes ``Domain.distances`` bit for bit; scipy.spatial
+    is imported here, at the first 2-D query, and not at start-up.
     """
     if domain.ndim == 1:
         a = domain.wrap(points[:, :1])
@@ -521,16 +521,49 @@ def nearest_distances(domain: Domain, points: np.ndarray, ref: np.ndarray) -> np
         pos = np.searchsorted(b, a[:, 0])
         near = b[np.stack([pos - 1, pos % b.size])]
         return np.min(domain.distances(near[..., None], a), axis=0)
+    from scipy.spatial import cKDTree
     return cKDTree(ref).query(points)[0]
 
 
-def hausdorff(a: CellSet, b: CellSet) -> float:
-    """Hausdorff distance between the cell-center point sets of a and b."""
+def _outside(a: CellSet, b: CellSet) -> list:
+    """Each set's cells outside the other, with the other set, in the two
+    directions of a Hausdorff distance that have any (cells in both are at 0)."""
     if a.grid != b.grid:
         raise GridMismatchError("hausdorff needs cell sets on the same grid")
     if not a or not b:
         raise EmptySetError("hausdorff of an empty cell set")
-    ca, cb = a.centers(), b.centers()
-    dom = a.grid.domain
-    return float(max(np.max(nearest_distances(dom, ca, cb)),
-                     np.max(nearest_distances(dom, cb, ca))))
+    return [(out, y) for x, y in ((a, b), (b, a)) if (out := (x - y).indices()).size]
+
+
+def hausdorff(a: CellSet, b: CellSet) -> float:
+    """Hausdorff distance between the cell-center point sets of a and b,
+    searched from the cells of each set outside the other only."""
+    dom, centers = a.grid.domain, a.grid.centers()
+    return max((float(np.max(nearest_distances(dom, centers[out], y.centers())))
+                for out, y in _outside(a, b)), default=0.0)
+
+
+def _hausdorff_within(a: CellSet, b: CellSet, r: float) -> bool:
+    """Exactly ``hausdorff(a, b) <= r``.  Each cell of one set outside the
+    other is tested against the other set's cells at all index offsets
+    ``|off_d| <= int(r // spacing_d) + 1`` at once (modulo n on the circle,
+    inside the grid on a box); a cell farther off along an axis is more than
+    r away.  Pairs are measured with ``Domain.distances``, as the k-d tree."""
+    pairs, grid = _outside(a, b), a.grid
+    if not r >= 0.0:
+        return False
+    ks = [n if r >= n * h else int(r // h) + 1 for h, n in zip(grid.spacing, grid.shape)]
+    for out, y in pairs:   # offsets along axis d broadcast to (offsets..., cells)
+        axes = [c + np.arange(-k, k + 1).reshape((-1,) + (1,) * (len(ks) - d))
+                for d, (c, k) in enumerate(zip(np.unravel_index(out, grid.shape), ks))]
+        nb = np.ravel_multi_index(axes, grid.shape, mode="wrap")
+        cand = y.mask.reshape(-1)[nb]
+        if not grid.wrap:
+            for u, n in zip(axes, grid.shape):
+                cand &= (u >= 0) & (u < n)
+        pair, cell = np.nonzero(cand.reshape(-1, out.size))
+        near = nb.reshape(-1, out.size)[pair, cell]
+        close = grid.domain.distances(grid.centers()[out[cell]], grid.centers()[near]) <= r
+        if not np.bincount(cell[close], minlength=out.size).all():
+            return False
+    return True

@@ -27,6 +27,7 @@ from .geometry import (
     Domain,
     Grid,
     fatten,
+    _hausdorff_within,
     grid_for,
     hausdorff,
     nearest_distances,
@@ -186,7 +187,7 @@ def chain_reach(
     stabilized = True
     if len(out) >= 2:
         prev = out[-2].cells.refine(2)
-        stabilized = hausdorff(prev, out[-1].cells) <= out[-2].grid.cell_diameter
+        stabilized = _hausdorff_within(prev, out[-1].cells, out[-2].grid.cell_diameter)
     return ChainReachResult(out, out[-1].cells, stabilized)
 
 

@@ -425,20 +425,70 @@ def test_reports_byte_identical_across_reruns(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_console_entrypoint_runs(tmp_path):
-    cfg = {"system": {"name": "constant", "parameters": {"c": 0.3}},
-           "grid": {"cells_per_dim": [128]}, "x": 0.9, "eps": 0.1}
-    path = write_cfg(tmp_path, "e.json", cfg)
+def _child(tmp_path, *args):
+    """``python *args`` in a fresh interpreter, run from tmp_path."""
     # The child runs from tmp_path, where a relative PYTHONPATH entry such as
     # `src` no longer resolves; point it at the package this process imported.
     env = dict(os.environ)
     pkg_root = str(Path(chainscope.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "chainscope.cli", "robust", "--config", path,
-         "--quiet"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=tmp_path, env=env)
+
+
+def test_console_entrypoint_runs(tmp_path):
+    cfg = {"system": {"name": "constant", "parameters": {"c": 0.3}},
+           "grid": {"cells_per_dim": [128]}, "x": 0.9, "eps": 0.1}
+    path = write_cfg(tmp_path, "e.json", cfg)
+    proc = _child(tmp_path, "-m", "chainscope.cli", "robust", "--config", path,
+                  "--quiet")
     assert proc.returncode == 0, proc.stderr
     assert '"verdict": "robust-at-resolution"' in proc.stdout
+
+
+# --------------------------------------------------------------------------
+# import footprint: scipy.spatial loads at the first 2-D point query only
+# --------------------------------------------------------------------------
+
+SPATIAL = ("sorted(m for m in sys.modules "
+           "if m.startswith(('scipy.spatial', 'scipy.special')))")
+
+
+def test_cli_import_loads_no_scipy_spatial(tmp_path):
+    proc = _child(tmp_path, "-c", f"import sys, chainscope.cli; print({SPATIAL})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_chainreach_2d_loads_no_scipy_spatial(tmp_path):
+    cfg = {"system": {"name": "affine2d",
+                      "parameters": {"m": [[0.5, 0.1], [0, 0.6]], "b": [0.2, 0.15]}},
+           "grid": {"cells_per_dim": [16, 16]}, "eps0": 0.36, "levels": 2,
+           "start": [[0.4, 0.5]]}
+    path = write_cfg(tmp_path, "c.json", cfg)
+    out = str(tmp_path / "r.json")
+    proc = _child(tmp_path, "-c", (
+        "import sys; from chainscope.cli import main; "
+        f"rc = main(['chainreach', '--config', {path!r}, '--out', {out!r}, '--quiet']); "
+        f"print(rc, {SPATIAL})"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert '"stabilized"' in Path(out).read_text()
+
+
+def test_2d_nearest_distances_import_the_tree_lazily(tmp_path):
+    proc = _child(tmp_path, "-c", """
+import sys
+import numpy as np
+from chainscope.geometry import Domain, nearest_distances
+dom = Domain.box([[0, 1], [0, 2]])
+rng = np.random.default_rng(3)
+pts, ref = rng.random((30, 2)) * [1, 2], rng.random((20, 2)) * [1, 2]
+before = 'scipy.spatial' in sys.modules
+got = nearest_distances(dom, pts, ref)
+want = [np.min(dom.distances(ref, p)) for p in pts]
+print(before, 'scipy.spatial' in sys.modules, np.array_equal(got, want))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]

@@ -10,6 +10,7 @@ from chainscope.geometry import (
     CellSet,
     Domain,
     Grid,
+    _hausdorff_within,
     fatten,
     grid_for,
     hausdorff,
@@ -368,6 +369,96 @@ def test_hausdorff_empty_raises():
 def test_hausdorff_grid_mismatch_raises():
     with pytest.raises(GridMismatchError):
         hausdorff(CellSet.full(Grid(BOX, 10)), CellSet.full(Grid(BOX, 20)))
+
+
+def _full_hausdorff(a, b):
+    """The definition: every center of each set against every center of the
+    other, with no cell skipped."""
+    dom, ca, cb = a.grid.domain, a.centers(), b.centers()
+    d = dom.distances(ca[:, None, :], cb[None, :, :])
+    return float(max(np.max(np.min(d, axis=1)), np.max(np.min(d, axis=0))))
+
+
+# non-dyadic spacings, so that r // spacing can floor one below an attained
+# offset; unequal spacings in 2-D; a circle of 5 cells, where the window wraps
+# onto itself
+WINDOW_GRIDS = [
+    Grid(BOX, 13), Grid(Domain.box([[-1.0, 2.0]]), 7), Grid(CIRCLE, 11),
+    Grid(CIRCLE, 5), Grid(Domain.box([[0, 1], [0, 2]]), (6, 5)),
+    Grid(Domain.box([[0, 1], [0, 1]]), (7, 7)),
+    Grid(Domain.box([[-1, 2], [0, 1]]), (4, 9)),
+]
+
+
+@st.composite
+def set_pairs(draw):
+    grid = draw(st.sampled_from(WINDOW_GRIDS))
+    cells = st.integers(0, grid.n_cells - 1)
+    a = draw(st.sets(cells, min_size=1, max_size=grid.n_cells - 1))
+    kind = draw(st.sampled_from(["random", "disjoint", "nested", "equal"]))
+    if kind == "random":
+        b = draw(st.sets(cells, min_size=1))
+    elif kind == "disjoint":
+        rest = sorted(set(range(grid.n_cells)) - a)
+        b = draw(st.sets(st.sampled_from(rest), min_size=1))
+    elif kind == "nested":
+        b = a | draw(st.sets(cells))
+    else:
+        b = set(a)
+    a, b = (CellSet.from_indices(grid, sorted(s)) for s in (a, b))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=set_pairs(), data=st.data())
+def test_hausdorff_within_is_exactly_hausdorff_le_r(case, data):
+    a, b = case
+    grid, h = a.grid, hausdorff(a, b)
+    ca, cb = a.centers(), b.centers()
+    i = data.draw(st.integers(0, len(ca) - 1))
+    j = data.draw(st.integers(0, len(cb) - 1))
+    pair = float(grid.domain.distances(ca[i], cb[j]))
+    r = data.draw(st.sampled_from([
+        grid.cell_diameter, 2 * grid.cell_diameter,   # 2 diameters: chain_reach
+        pair, h, float(np.nextafter(h, 0.0)),          # ties at attained distances
+        data.draw(st.floats(0.0, 2.0 * float(np.max(grid.domain.widths)))),
+    ]))
+    assert _hausdorff_within(a, b, r) == (h <= r)
+
+
+def test_hausdorff_searches_only_cells_outside_the_other_set():
+    # equal to the full definition bit for bit, and 0.0 on equal sets
+    rng = np.random.default_rng(23)
+    for g in WINDOW_GRIDS:
+        for _ in range(40):
+            a = CellSet(g, rng.random(g.shape) < rng.random())
+            b = CellSet(g, rng.random(g.shape) < rng.random())
+            if rng.random() < 0.5:   # nested: most cells in both
+                b = a | CellSet(g, rng.random(g.shape) < 0.1)
+            if not a or not b:
+                continue
+            assert hausdorff(a, b) == _full_hausdorff(a, b)
+            assert hausdorff(a, a) == 0.0
+
+
+def test_hausdorff_within_square_cells_tie_at_two_diameters():
+    # offset (2, 2) on square cells sits at 2 * sqrt(2) * h: the r that
+    # chain_reach passes, and a pair distance that rounds either side of it
+    g = Grid(Domain.box([[0, 1], [0, 1]]), (10, 10))
+    a = CellSet.from_indices(g, [0])
+    b = CellSet.from_indices(g, [22])
+    for r in (2 * g.cell_diameter, hausdorff(a, b)):
+        assert _hausdorff_within(a, b, r) == (hausdorff(a, b) <= r)
+
+
+def test_hausdorff_within_checks_like_hausdorff():
+    g = Grid(BOX, 10)
+    with pytest.raises(EmptySetError):
+        _hausdorff_within(CellSet.full(g), CellSet.empty(g), 1.0)
+    with pytest.raises(GridMismatchError):
+        _hausdorff_within(CellSet.full(g), CellSet.full(Grid(BOX, 20)), 1.0)
+    assert _hausdorff_within(CellSet.full(g), CellSet.full(g), 0.0)
+    assert not _hausdorff_within(CellSet.full(g), CellSet.full(g), -1.0)
 
 
 # --------------------------------------------------------------------------

@@ -122,6 +122,30 @@ def test_chain_square_from_one_does_not_collapse():
         assert len(lv.cells) == lv.grid.n_cells   # covers [0, 1], not {1}
 
 
+@pytest.mark.parametrize("sys, cells, eps0, levels, x, want", [
+    (square(), 32, 0.5, 3, [0.134], False),
+    (logistic(3.7), 32, 0.5, 3, [0.495], True),
+    (logistic(3.2), 50, 0.3, 4, [0.433], False),
+    (identity_map(), 64, 0.1, 3, [0.002], True),
+    (rotation(0.6180339887498949), 50, 0.3, 4, [0.031], True),
+    (SKEW, (16, 16), 0.36, 2, [0.438, 0.496], False),
+    (SKEW, (16, 8), 0.75, 2, [0.219, 0.460], True),
+    (affine2d([[0.98, 0], [0, 0.5]], [0.01, 0.2]), (12, 20), 0.5, 3,
+     [0.561, 0.426], False),
+    (affine2d([[0.9, 0], [0, 0.9]], [0.05, 0.05]), (8, 8), 0.75, 3,
+     [0.121, 0.333], True),
+])
+def test_chain_stabilized_matches_the_hausdorff_expression(
+        sys, cells, eps0, levels, x, want):
+    # the window test in chain_reach against the Hausdorff distance it
+    # decides, in 1-D and 2-D, with both verdicts
+    start = CellSet.from_points(Grid(sys.domain, cells), [x])
+    res = chain_reach(sys, start, eps0, levels)
+    prev, cur = res.levels[-2], res.levels[-1]
+    oracle = hausdorff(prev.cells.refine(2), cur.cells) <= prev.grid.cell_diameter
+    assert res.stabilized == oracle == want
+
+
 def test_chain_levels_nested():
     for sys, x in [(square(), 1.0), (constant(0.3), 0.9), (identity_map(), 0.2)]:
         start = CellSet.from_points(Grid(BOX, 64), [[x]])
