@@ -525,6 +525,9 @@ def nearest_distances(domain: Domain, points: np.ndarray, ref: np.ndarray) -> np
     return cKDTree(ref).query(points)[0]
 
 
+_WINDOW_PAIRS = 1 << 14   # (row, cell) pairs _hausdorff_within holds at once
+
+
 def _outside(a: CellSet, b: CellSet) -> list:
     """Each set's cells outside the other, with the other set, in the two
     directions of a Hausdorff distance that have any (cells in both are at 0)."""
@@ -544,26 +547,41 @@ def hausdorff(a: CellSet, b: CellSet) -> float:
 
 
 def _hausdorff_within(a: CellSet, b: CellSet, r: float) -> bool:
-    """Exactly ``hausdorff(a, b) <= r``.  Each cell of one set outside the
-    other is tested against the other set's cells at all index offsets
-    ``|off_d| <= int(r // spacing_d) + 1`` at once (modulo n on the circle,
-    inside the grid on a box); a cell farther off along an axis is more than
-    r away.  Pairs are measured with ``Domain.distances``, as the k-d tree."""
-    pairs, grid = _outside(a, b), a.grid
+    """Exactly ``hausdorff(a, b) <= r``; in 1-D the sorted search.
+
+    In 2-D each cell outside the other set is tested against the other set's
+    rows within ``|off| <= int(r // spacing) + 1`` (a row farther off is more
+    than r away), along the axis with fewer such rows.  In the other set
+    sorted by (row, column), the two cells around (row, the cell's column)
+    hold that row's nearest if it has any, and are cells of the set either
+    way.  Cells go in blocks of at most ``_WINDOW_PAIRS`` pairs, up to the
+    first block with a cell farther than r.  Centers and distances are
+    computed as ``Grid.centers`` and ``Domain.distances`` do, the floats that
+    the k-d tree compares.
+    """
+    grid = a.grid
+    if grid.domain.ndim == 1:
+        return hausdorff(a, b) <= r
+    pairs = _outside(a, b)
     if not r >= 0.0:
         return False
-    ks = [n if r >= n * h else int(r // h) + 1 for h, n in zip(grid.spacing, grid.shape)]
-    for out, y in pairs:   # offsets along axis d broadcast to (offsets..., cells)
-        axes = [c + np.arange(-k, k + 1).reshape((-1,) + (1,) * (len(ks) - d))
-                for d, (c, k) in enumerate(zip(np.unravel_index(out, grid.shape), ks))]
-        nb = np.ravel_multi_index(axes, grid.shape, mode="wrap")
-        cand = y.mask.reshape(-1)[nb]
-        if not grid.wrap:
-            for u, n in zip(axes, grid.shape):
-                cand &= (u >= 0) & (u < n)
-        pair, cell = np.nonzero(cand.reshape(-1, out.size))
-        near = nb.reshape(-1, out.size)[pair, cell]
-        close = grid.domain.distances(grid.centers()[out[cell]], grid.centers()[near]) <= r
-        if not np.bincount(cell[close], minlength=out.size).all():
-            return False
+    ks = [n - 1 if r >= n * h else min(int(r // h) + 1, n - 1)
+          for h, n in zip(grid.spacing, grid.shape)]
+    e = int(np.argmin(ks))   # rows along axis e, columns along the other
+    ns, lo, h = grid.shape[1 - e], grid.domain.bounds[[e, 1 - e], 0], grid.spacing[[e, 1 - e]]
+    offs = np.arange(-ks[e], ks[e] + 1)[:, None]
+    step = max(1, _WINDOW_PAIRS // offs.size)
+
+    def centers(row, col):
+        return lo + (np.stack(np.broadcast_arrays(row, col), axis=-1) + 0.5) * h
+
+    for out, y in pairs:
+        key = np.flatnonzero(y.mask if e == 0 else y.mask.T)   # row * ns + col, sorted
+        for i in range(0, out.size, step):
+            c = np.unravel_index(out[i:i + step], grid.shape)
+            pos = np.searchsorted(key, (c[e] + offs) * ns + c[1 - e])
+            near = key[np.clip([pos - 1, pos], 0, key.size - 1)]
+            d = grid.domain.distances(centers(near // ns, near % ns), centers(c[e], c[1 - e]))
+            if not (d <= r).any(axis=(0, 1)).all():
+                return False
     return True

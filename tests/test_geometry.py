@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
 
+from chainscope import geometry
 from chainscope.errors import DomainError, EmptySetError, GridMismatchError
 from chainscope.geometry import (
     CellSet,
@@ -380,13 +383,15 @@ def _full_hausdorff(a, b):
 
 
 # non-dyadic spacings, so that r // spacing can floor one below an attained
-# offset; unequal spacings in 2-D; a circle of 5 cells, where the window wraps
-# onto itself
+# offset; unequal spacings in 2-D, with the rows along either axis, and thin
+# grids whose window spans many columns; a circle of 5 cells
 WINDOW_GRIDS = [
     Grid(BOX, 13), Grid(Domain.box([[-1.0, 2.0]]), 7), Grid(CIRCLE, 11),
     Grid(CIRCLE, 5), Grid(Domain.box([[0, 1], [0, 2]]), (6, 5)),
     Grid(Domain.box([[0, 1], [0, 1]]), (7, 7)),
     Grid(Domain.box([[-1, 2], [0, 1]]), (4, 9)),
+    Grid(Domain.box([[0, 1], [0, 1]]), (3, 24)),
+    Grid(Domain.box([[0, 1], [0, 3]]), (21, 2)),
 ]
 
 
@@ -449,6 +454,42 @@ def test_hausdorff_within_square_cells_tie_at_two_diameters():
     b = CellSet.from_indices(g, [22])
     for r in (2 * g.cell_diameter, hausdorff(a, b)):
         assert _hausdorff_within(a, b, r) == (hausdorff(a, b) <= r)
+
+
+def test_hausdorff_within_in_blocks_of_a_few_pairs(monkeypatch):
+    # blocks of one cell, or of a few (row, cell) pairs, decide as one block
+    rng = np.random.default_rng(29)
+    for pairs in (1, 5, 16):
+        monkeypatch.setattr(geometry, "_WINDOW_PAIRS", pairs)
+        for g in WINDOW_GRIDS:
+            for _ in range(15):
+                a = CellSet(g, rng.random(g.shape) < rng.random())
+                b = CellSet(g, rng.random(g.shape) < rng.random())
+                if not a or not b:
+                    continue
+                for r in (g.cell_diameter, 2 * g.cell_diameter, hausdorff(a, b)):
+                    assert _hausdorff_within(a, b, r) == (hausdorff(a, b) <= r)
+
+
+def test_hausdorff_within_memory_is_bounded_on_thin_cells():
+    # the chain_reach radius on 8 x 4096 cells spans 7 rows and 2899 columns:
+    # a gather over every index offset would hold 20,293 offsets per cell,
+    # 2.7 GB of indices for these 16,384 cells.  Rows and a sorted search over
+    # columns, in blocks, stay within a few MB (2.8 MB measured, 20 MB
+    # unblocked).
+    g = Grid(Domain.box([[0, 1], [0, 1]]), (8, 4096))
+    cols = np.arange(4096) % 2 == 0
+    a = CellSet(g, np.broadcast_to(cols, g.shape).copy())
+    b = CellSet(g, np.broadcast_to(~cols, g.shape).copy())
+    r = Grid(g.domain, (4, 2048)).cell_diameter
+    tracemalloc.start()
+    try:
+        within = _hausdorff_within(a, b, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert within
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_hausdorff_within_checks_like_hausdorff():
