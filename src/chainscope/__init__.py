@@ -40,7 +40,6 @@ from .systems import (
     drift_control,
     identity_map,
     image_cell,
-    image_point,
     logistic,
     make_system,
     rotation,

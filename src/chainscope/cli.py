@@ -399,7 +399,7 @@ def _run_basin(cfg, system, grid):
     comp_idx = int(cfg.get("component", 0))
     if comp_idx >= len(census.components):
         raise ConfigError(
-            f"component index {comp_idx} out of range "
+            f"key 'component' is {json.dumps(comp_idx)}, out of range "
             f"({len(census.components)} components)"
         )
     comp = census.components[comp_idx]
@@ -457,8 +457,8 @@ def _run_verify(cfg, system, grid):
         code = EXIT_OK if rep.found_delta is not None else EXIT_VERIFY_FAIL
         return code, rep.as_record(), {"deltas": len(rep.checked_deltas)}, {}
     raise ConfigError(
-        f"unknown property {prop!r}; expected lemma2 | initial-fattening | "
-        f"semicontinuity"
+        f"key 'property' is {json.dumps(prop)}; expected lemma2 | "
+        f"initial-fattening | semicontinuity"
     )
 
 

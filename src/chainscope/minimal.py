@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .geometry import CellSet, Grid, fatten, grid_for
 from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory
 from .reachability import (
@@ -28,7 +28,6 @@ from .reachability import (
     _first_true,
     _robust_samples,
     default_delta_schedule,
-    orbit_reach,
 )
 from .systems import System, _image_union
 from .transition import _reach_within, build_graph, recurrent_cells
@@ -38,6 +37,8 @@ from .transition import _reach_within, build_graph, recurrent_cells
 SHRINK_RATIO = 0.75
 # omega_limit's burn-in, new-cell window and tail step budget
 BURN_IN, WINDOW, TAIL_STEPS = 10_000, 2048, 300_000
+# the steps after which classify_component takes its settled candidate
+SETTLE = 512
 
 
 @dataclass
@@ -158,6 +159,14 @@ def classify_component(sys: System, comp: CellSet) -> Classification:
     """
     if not comp:
         raise PreconditionError("cannot classify an empty component")
+    idx = comp.indices()
+    mid = comp.grid.cell_center(int(idx[idx.size // 2]))
+    return _classify(sys, comp, advance(sys, mid[None, :], sys.controls[0], SETTLE)[0])
+
+
+def _classify(sys: System, comp: CellSet, settle) -> Classification:
+    """``classify_component`` of a nonempty component, given ``settle``, its
+    mid cell centre after SETTLE steps under the first control."""
     grid = comp.grid
     q_max, tol = 64, 2.0 * grid.cell_diameter
     u = sys.controls[0]
@@ -169,7 +178,6 @@ def classify_component(sys: System, comp: CellSet) -> Classification:
     ]
     # a settled point is a better witness for attracting components, but only
     # if burn-in keeps it associated with this component
-    settle = advance(sys, candidates[2][None, :], u, 512)[0]
     if fatten(comp, grid.resolution_floor).mask.reshape(-1)[grid.cell_of(settle)]:
         candidates.append(settle)
 
@@ -213,8 +221,40 @@ def minimal_sets(
 
     Each level after the first builds its graph only on the refinement of
     the cells of the level before's components: every component of the
-    finer graph lies there (see the README on subdivision).
+    finer graph lies there (see the README on subdivision).  Every
+    component's mid orbit runs as a lane of one engine call, then the rep
+    orbits of the components their mid orbit did not cover as the lanes of
+    a second.
     """
+    return _census(sys, eps0, levels, base_grid, orbit_max_steps, [])[0]
+
+
+def _resume_from(points, n: int):
+    """Where a trajectory with kept ``points`` at steps 0, 1, ... carries on
+    towards step n: (its point at step n, or its last kept point, and that
+    step).  The point is a copy, so the orbit's block can be freed."""
+    k = min(len(points) - 1, n)
+    return points[k].copy(), k
+
+
+def _step_points(sys, ends, n: int, u) -> np.ndarray:
+    """The point at step n under the control u of each trajectory of
+    ``ends``, (point, k) pairs, point its step k <= n: each carries on for
+    its own n - k steps, the trajectories as lanes."""
+    pts = np.array([p for p, _ in ends])
+    left = n - np.array([k for _, k in ends])
+    for j in range(int(left.max(initial=0))):
+        on = left > j
+        pts[on] = sys.image_points(pts[on], u)
+    return pts
+
+
+def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
+    """``minimal_sets``, with the orbits from ``extra``, a list of canonical
+    points, run as further lanes of the mid orbits' engine call.  Returns the
+    census and the iterator of those orbits' ``ReachResult``, in order, read
+    lazily.  Each error is raised where a loop over the components would
+    raise it."""
     if base_grid is None:
         base_grid = grid_for(sys.domain, eps0)
     counts: list[int] = []
@@ -243,25 +283,45 @@ def minimal_sets(
     for i, comp in enumerate(finest):
         coarse = np.unique(_coarsen_indices(comp, grid_f, factor_to_base))
         groups.setdefault(int(np.bincount(label_0[coarse]).argmax()), []).append(i)
+    keys = sorted(groups, key=lambda k: min(finest[i][0] for i in groups[k]))
+    unions = [np.unique(np.concatenate([finest[i] for i in groups[k]])) for k in keys]
+
+    # every mid orbit, then the extra orbits, as the lanes of one engine
+    # call; a mid orbit that left the domain raises after the components
+    # before it, whose rep orbits run as the lanes of a second call
+    ndim, radius = grid_f.domain.ndim, eps_f + grid_f.cell_diameter
+    mids = [grid_f.cell_center(int(union[union.size // 2])) for union in unions]
+    first = reaches(sys, np.array(mids + extra).reshape(-1, ndim), grid_f,
+                    orbit_max_steps)
+    sampled, ends, failed = [], [], None
+    for union, mid in zip(unions, mids):
+        try:
+            orb = next(first)
+        except DomainError as exc:
+            failed = exc
+            break
+        cells = CellSet.from_indices(grid_f, union)
+        covers = orb.converged and cells.issubset(fatten(orb.cells, radius))
+        # a shrink test reads the points of a converged orbit that does not
+        # cover; the copy lets the orbit's block be freed
+        sampled.append((cells, covers,
+                        [orb.points.copy()] if orb.converged and not covers else []))
+        # a trajectory's settle carries on from its mid orbit
+        ends.append((mid, 0) if sys.multivalued else _resume_from(orb.points, SETTLE))
+    reps = reaches(sys, np.array([
+        grid_f.cell_center(int(union[0]))
+        for union, (_, covers, _) in zip(unions, sampled) if not covers
+    ]).reshape(-1, ndim), grid_f, orbit_max_steps)
+    settles = _step_points(sys, ends, SETTLE, sys.controls[0])
 
     out = []
-    for key in sorted(groups, key=lambda k: min(finest[i][0] for i in groups[k])):
-        members = groups[key]
-        union = np.unique(np.concatenate([finest[i] for i in members]))
-        cells = CellSet.from_indices(grid_f, union)
-
-        rep = grid_f.cell_center(int(union[0]))
-        mid = grid_f.cell_center(int(union[union.size // 2]))
-        covers = False
-        orbits = []
-        for start in (mid, rep):
-            orb = orbit_reach(sys, start, grid_f, max_steps=orbit_max_steps)
-            if not orb.converged:
-                continue
-            orbits.append(orb)
-            if cells.issubset(fatten(orb.cells, eps_f + grid_f.cell_diameter)):
-                covers = True
-                break
+    for key, union, (cells, covers, orbits), mid, settle in zip(
+            keys, unions, sampled, mids, settles):
+        if not covers:
+            orb = next(reps)
+            if orb.converged:
+                orbits.append(orb.points)
+                covers = cells.issubset(fatten(orb.cells, radius))
 
         # shrink evidence: the slice of the component beyond the sampled
         # orbit's hull is discretization noise exactly when it dies off
@@ -273,10 +333,10 @@ def minimal_sets(
             anc = comps_0[key]
             shrinks = union.size <= SHRINK_RATIO * len(anc) * scale
             if not shrinks and orbits:
-                pts = orbits[0].points
+                pts = orbits[0]
                 hull_f = fatten(
                     CellSet.from_indices(grid_f, np.unique(grid_f.cells_of(pts))),
-                    eps_f + grid_f.cell_diameter,
+                    radius,
                 )
                 hull_0 = fatten(
                     CellSet.from_indices(grid_0, np.unique(grid_0.cells_of(pts))),
@@ -286,16 +346,17 @@ def minimal_sets(
                 exc_0 = len(anc - hull_0) * scale
                 shrinks = exc_0 > 0 and exc_f <= SHRINK_RATIO * exc_0
 
-        cls = classify_component(sys, cells)
         out.append(MinimalSetApprox(
             cells=cells,
-            classification=cls,
+            classification=_classify(sys, cells, settle),
             representative=tuple(float(v) for v in mid),
             evidence_minimal=shrinks or covers,
             shrinks=shrinks,
             orbit_covers=covers,
-            fragment_count=len(members),
+            fragment_count=len(groups[key]),
         ))
+    if failed is not None:
+        raise failed
 
     # isolation flags at the finest level
     for i, comp in enumerate(out):
@@ -315,7 +376,7 @@ def minimal_sets(
         count = "1"
     else:
         count = "finite>1"
-    return Census(out, count, eps_f, grid_f, counts)
+    return Census(out, count, eps_f, grid_f, counts), first
 
 
 # --------------------------------------------------------------------------
@@ -580,8 +641,14 @@ def dichotomy_report(
     with no isolated component.  Non-robust samples leave the alternative
     unconstrained (noted, vacuously consistent).
     """
-    census = minimal_sets(sys, eps0, levels, base_grid,
-                          orbit_max_steps=orbit_max_steps)
+    # the samples' robustness orbits run as further lanes of the census's
+    # mid orbits; a sample that does not canonicalize raises where the
+    # samples are read, after the census and stability errors
+    try:
+        samples, bad = [sys.domain.canon(p) for p in sample_points], None
+    except (TypeError, ValueError, DomainError) as exc:
+        samples, bad = [], exc
+    census, sample_orbits = _census(sys, eps0, levels, base_grid, orbit_max_steps, samples)
     grid_f = census.grid_finest
     # one floor graph for every component, built for the first that needs it
     floor_graph = functools.cache(lambda: build_graph(sys, grid_f, grid_f.resolution_floor))
@@ -597,14 +664,14 @@ def dichotomy_report(
             notes.append(f"stability precondition failed: {exc}")
     floor_graph.cache_clear()
 
+    if bad is not None:
+        raise bad
     # each sample's robustness orbit, kept up to its step BURN_IN, which is
     # where its omega tail starts
-    samples = [sys.domain.canon(p) for p in sample_points]
     certs, ends = [], []
-    for orbit, cert in _robust_samples(sys, samples, robust_eps, grid_f, orbit_max_steps):
+    for orbit, cert in _robust_samples(sys, samples, robust_eps, grid_f, sample_orbits):
         certs.append(cert)
-        k = min(len(orbit.points) - 1, BURN_IN)
-        ends.append((orbit.points[k].copy(), k))
+        ends.append(_resume_from(orbit.points, BURN_IN))
     all_robust = all(c.verdict == "robust-at-resolution" for c in certs)
 
     if not all_robust:
@@ -639,13 +706,9 @@ def dichotomy_report(
             comp.cells, census.eps_finest + census.grid_finest.cell_diameter
         )
         # a trajectory keeps its steps 0, 1, ... in order, so each burn-in
-        # carries on from the orbit's last kept point, the lanes together
+        # carries on from the orbit's last kept point
         u = sys.controls[0]
-        pts = np.array([p for p, _ in ends])
-        left = BURN_IN - np.array([k for _, k in ends])
-        for j in range(int(left.max(initial=0))):
-            on = left > j
-            pts[on] = sys.image_points(pts[on], u)
+        pts = _step_points(sys, ends, BURN_IN, u)
         attraction = all(om.stabilized and om.cells.issubset(hull) for om in
                          _omega_tails(sys, pts, grid_f, u, BURN_IN, WINDOW, TAIL_STEPS))
     return DichotomyReport(

@@ -297,15 +297,15 @@ def _radius_schedule(sys, eps, delta_schedule, grid):
     return grid, schedule
 
 
-def _robust_samples(sys, points, eps, grid, max_steps):
+def _robust_samples(sys, points, eps, grid, orbits):
     """The sampled orbit reach and the ``robustness_check`` certificate (default
-    schedule) of each of ``points``, canonical points, in order.  The orbits
-    run as the lanes of one engine call, read lazily, so each error is raised
-    where a loop of ``robustness_check`` calls would raise it."""
+    schedule) of each of ``points``, canonical points, in order, given
+    ``orbits``, the iterator of their ``ReachResult`` on ``grid``.  Each orbit
+    is read just before its certificate, so each error is raised where a loop
+    of ``robustness_check`` calls would raise it."""
     if not points:
         return
     grid, schedule = _radius_schedule(sys, eps, None, grid)
-    orbits = reaches(sys, np.array(points), grid, max_steps)
     for p in points:
         if not sys.domain.contains(p):
             raise DomainError(f"orbit start {p!r} outside domain")

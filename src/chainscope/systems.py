@@ -75,10 +75,6 @@ class System:
         return y
 
 
-def image_point(sys: System, x, u=None) -> np.ndarray:
-    return sys.image_point(x, u)
-
-
 def image_cell(sys: System, cell: int, grid: Grid) -> CellSet:
     """Cells guaranteed to contain f(x, u) for every x in the cell, u in U.
 

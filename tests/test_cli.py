@@ -246,6 +246,9 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
     ("reach", '{"system": {"name": "drift_control", "parameters": '
               '{"a": 0.5, "controls": []}}, "grid": {"cells_per_dim": [64]}, '
               '"x": 0.3}', "controls"),
+    ("verify", '{%s, "property": true}' % _SQUARE, "property"),
+    ("basin", '{%s, "eps0": 0.1, "levels": 1, "component": 9}' % _SQUARE,
+     "component"),
 ], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
         "cells-string", "seed-negative", "levels-bool", "eps-duplicate",
         "policy-string", "policy-number", "policy-unknown-control",
@@ -253,7 +256,8 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
         "domain-empty", "domain-one-bound", "domain-extra-key",
         "x-two-coordinates", "x-outside", "start-empty", "sample-outside",
         "samples-empty", "verify-delta-schedule", "lemma2-other-keys",
-        "initial-fattening-n-max", "semicontinuity-levels", "controls-empty"])
+        "initial-fattening-n-max", "semicontinuity-levels", "controls-empty",
+        "property-unknown", "component-out-of-range"])
 def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     path = tmp_path / "probe.json"
     path.write_text(text)

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainscope import minimal
-from chainscope.errors import ChainscopeError, PreconditionError
+from chainscope.errors import ChainscopeError, DomainError, PreconditionError
 from chainscope.geometry import CellSet, Domain, Grid, fatten
 from chainscope.minimal import (
+    Census,
+    MinimalSetApprox,
     _coarsen_indices,
     classify_component,
     dichotomy_report,
@@ -18,7 +20,7 @@ from chainscope.minimal import (
     omega_limit,
     weak_basin,
 )
-from chainscope.reachability import robustness_check
+from chainscope.reachability import orbit_reach, robustness_check
 from chainscope.systems import (
     System,
     affine2d,
@@ -69,8 +71,8 @@ def _oracle_groups(sys, eps0, levels, base_grid):
                if levels > 1 else i)
         assert anc is not None   # every finest component has an ancestor
         groups.setdefault(anc, []).append(i)
-    merged = [(np.unique(np.concatenate([level_comps[-1][i] for i in m])), len(m))
-              for m in groups.values()]
+    merged = [(np.unique(np.concatenate([level_comps[-1][i] for i in m])), len(m),
+               level_comps[0][anc]) for anc, m in groups.items()]
     return sorted(merged, key=lambda g: g[0][0]), [len(c) for c in level_comps]
 
 
@@ -93,7 +95,7 @@ def test_census_groups_match_ancestor_oracle(sys, eps0, grid, levels):
     groups, counts = _oracle_groups(sys, eps0, levels, grid)
     assert census.level_component_counts == counts
     assert [(c.cells.indices().tolist(), c.fragment_count)
-            for c in census.components] == [(g.tolist(), n) for g, n in groups]
+            for c in census.components] == [(g.tolist(), n) for g, n, _ in groups]
 
 
 def test_census_square_two_fixed_points():
@@ -448,6 +450,105 @@ DICHOTOMY_SYSTEMS = {
 }
 
 
+def _ripple(k):
+    """x -> x - sin(2 pi k x) / (4 pi k) on [0, 1]: fixed points at j / 2k,
+    attracting for even j."""
+    def f(pts, u):
+        return pts - np.sin(2 * np.pi * k * pts) / (4 * np.pi * k)
+    return System(f"ripple{k}", BOX, {}, (None,), 1.5, f)
+
+
+def _leaky():
+    """x -> x + 4 (x - 0.1)(x - 0.15)(x - 0.8) on [0, 1], not a self-map:
+    0.15 attracts the orbits between the repelling fixed points 0.1 and 0.8,
+    the others leave the domain."""
+    def f(pts, u):
+        return pts + 4.0 * (pts - 0.1) * (pts - 0.15) * (pts - 0.8)
+    return System("leaky", BOX, {}, (None,), 5.5, f)
+
+
+def _census_oracle(sys, eps0, levels, base_grid, max_steps):
+    """``minimal_sets`` one component at a time: its mid orbit, then its rep
+    orbit unless the mid orbit covers it, one ``orbit_reach`` call each, an
+    orbit that did not converge skipped, and ``classify_component``."""
+    groups, counts = _oracle_groups(sys, eps0, levels, base_grid)
+    eps_f, grid_f = eps0 / 2 ** (levels - 1), base_grid.refine(2 ** (levels - 1))
+    scale = 2 ** ((levels - 1) * sys.domain.ndim)
+
+    def hull(grid, pts, eps):
+        return fatten(CellSet.from_indices(grid, np.unique(grid.cells_of(pts))),
+                      eps + grid.cell_diameter)
+
+    out = []
+    for union, n_members, anc in groups:
+        cells = CellSet.from_indices(grid_f, union)
+        mid = grid_f.cell_center(int(union[union.size // 2]))
+        covers, orbits = False, []
+        for start in (mid, grid_f.cell_center(int(union[0]))):
+            orb = orbit_reach(sys, start, grid_f, max_steps=max_steps)
+            if orb.converged:
+                orbits.append(orb)
+                covers = cells.issubset(fatten(orb.cells, eps_f + grid_f.cell_diameter))
+                if covers:
+                    break
+        shrinks = False
+        if levels > 1 and not covers:
+            shrinks = union.size <= minimal.SHRINK_RATIO * anc.size * scale
+            if not shrinks and orbits:
+                pts = orbits[0].points
+                exc_f = len(cells - hull(grid_f, pts, eps_f))
+                exc_0 = len(CellSet.from_indices(base_grid, anc)
+                            - hull(base_grid, pts, eps0)) * scale
+                shrinks = exc_0 > 0 and exc_f <= minimal.SHRINK_RATIO * exc_0
+        out.append(MinimalSetApprox(
+            cells, classify_component(sys, cells), tuple(float(v) for v in mid),
+            evidence_minimal=shrinks or covers, shrinks=shrinks,
+            orbit_covers=covers, fragment_count=n_members))
+    for i, comp in enumerate(out):
+        if comp.evidence_minimal:
+            near = fatten(comp.cells, eps_f)
+            touching = any(j != i and bool(near & other.cells)
+                           for j, other in enumerate(out))
+            comp.isolated = "no" if touching else "yes"
+    count = ("unbounded-at-resolution" if any(not c.evidence_minimal for c in out)
+             else "1" if len(out) == 1 else "finite>1")
+    return Census(out, count, eps_f, grid_f, counts)
+
+
+# name: (system, base grid, eps0), two levels each: the dichotomy systems; a
+# census of 13 components, past the engine's first block of 8 lanes; and one
+# whose first component's rep orbit leaves the domain, as do the mid orbits
+# of later components, at other points
+CENSUS_SYSTEMS = {
+    **{name: (make, grid, eps0)
+       for name, (make, grid, eps0, _) in DICHOTOMY_SYSTEMS.items()},
+    "ripple": (lambda: _ripple(6), Grid(BOX, 512), 4.5 / 512),
+    "leaky": (_leaky, Grid(BOX, 64), 4.5 / 64),
+}
+
+
+@pytest.mark.parametrize("max_steps", [200_000, 150])
+@pytest.mark.parametrize("name", sorted(CENSUS_SYSTEMS))
+def test_census_matches_the_per_component_loop(name, max_steps):
+    """Every mid orbit as a lane of one engine call, then the rep orbits the
+    mid orbits did not cover as the lanes of a second, and each settle
+    carried on from its mid orbit: the census record, and any error, equal
+    those of one orbit_reach call per orbit."""
+    make, grid, eps0 = CENSUS_SYSTEMS[name]
+    sys = make()
+    results = []
+    for census in (minimal_sets, _census_oracle):
+        try:
+            results.append(census(sys, eps0, 2, grid, max_steps).as_record())
+        except ChainscopeError as exc:
+            results.append((type(exc), str(exc)))
+    assert results[0] == results[1]
+    if name == "ripple":
+        assert len(results[0]["components"]) > 8
+    if name == "leaky":
+        assert results[0][0] is DomainError
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(sorted(DICHOTOMY_SYSTEMS)),
@@ -471,13 +572,17 @@ DICHOTOMY_SYSTEMS = {
 # a non-robust sample, and orbits that do not converge
 @example(name="square", unit=[(0.5, 0.0), (1.0, 0.0)], max_steps=200_000, omega=None)
 @example(name="rotation", unit=[(0.2, 0.0), (0.7, 0.0)], max_steps=150, omega=None)
+# the census orbits converge within 120 steps, the second sample's in 130
+@example(name="logistic", unit=[(0.5, 0.0), (1e-9, 0.0)], max_steps=120, omega=None)
+# a sample outside the box domain
+@example(name="square", unit=[(0.5, 0.0), (1.5, 0.0)], max_steps=200_000, omega=None)
 def test_dichotomy_samples_match_the_per_sample_loop(name, unit, max_steps, omega):
-    """Robustness orbits as the lanes of one engine call, each omega tail
-    burnt in from its sample's orbit and the tails as lanes, one floor graph:
-    every field that these feed equals the per-sample loop's, errors
-    included, and so does every omega tail read (the report keeps only the
-    attraction flag).  Consistency and the other notes follow from these
-    fields by code that the batching leaves alone."""
+    """Robustness orbits as further lanes of the census's mid orbits, each
+    omega tail burnt in from its sample's orbit and the tails as lanes, one
+    floor graph: every field that these feed equals the per-sample loop's,
+    errors included, and so does every omega tail read (the report keeps
+    only the attraction flag).  Consistency and the other notes follow from
+    these fields by code that the batching leaves alone."""
     make, grid, eps0, eps = DICHOTOMY_SYSTEMS[name]
     sys = make()
     lo, hi = sys.domain.bounds[:, 0], sys.domain.bounds[:, 1]
@@ -518,11 +623,25 @@ def test_dichotomy_samples_match_the_per_sample_loop(name, unit, max_steps, omeg
     assert rep.global_attraction is attraction
 
 
+def test_dichotomy_reads_a_malformed_sample_after_the_census():
+    """The samples run as lanes of the census's engine call, but one that
+    does not canonicalize raises where the samples are read: after the
+    census's own errors."""
+    kw = dict(eps0=4.5 / 64, levels=2, base_grid=Grid(BOX, 64))
+    with pytest.raises(DomainError, match="outside domain"):
+        dichotomy_report(_leaky(), [[0.5], [0.5, 0.5]], **kw)
+    with pytest.raises(DomainError, match="point has 2 coordinates"):
+        dichotomy_report(square(), [[0.5], [0.5, 0.5]], **kw)
+
+
 def test_golden_dichotomy_map_calls():
-    """The golden two-sample dichotomy at 512 cells and 2 levels: the census
-    orbit (10,295 steps), both robustness orbits as two lanes (9,784 steps),
-    the burn-ins carried on from them (216 steps) and both omega tails as two
-    lanes (3,641 steps).  One sample at a time it took 57,222 calls."""
+    """The golden two-sample dichotomy at 512 cells and 2 levels makes 13,718
+    map calls: the census orbit and both robustness orbits as three lanes of
+    one engine call (9,788), the burn-ins carried on from the robustness
+    orbits (216), both omega tails as two lanes (3,644), the period search
+    (64; its settle carries on from the census orbit) and one call per graph
+    build (6).  With the census orbit, its settle and the robustness orbits
+    run apart it took 24,013 calls, and one sample at a time 57,222."""
     base = rotation(0.6180339887498949)
     calls = [0]
 
@@ -534,7 +653,7 @@ def test_golden_dichotomy_map_calls():
     rep = dichotomy_report(sys, [0.8444218515250481, 0.7579544029403025], eps0=0.01,
                            levels=2, base_grid=Grid(Domain.circle(), 512))
     assert rep.global_attraction is True
-    assert calls[0] <= 24_300
+    assert calls[0] <= 14_000
 
 
 def test_is_graph_invariant_examples():

@@ -355,25 +355,36 @@ SYSTEMS = {
 }
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# (_FIRST_BLOCK, _LANE_BLOCK, _BLOCK_POINTS, _CHUNK_LANE_STEPS): tiny blocks
+# and chunks, so that lanes cross block and chunk boundaries and blocks shrink
+# when their orbits are long, odd sizes, and the engine's own
+BLOCK_SIZES = [(8, 4, 40, 24), (1, 2, 10, 8), (3, 5, 100, 7), (16, 3, 1000, 100),
+               (orbits._FIRST_BLOCK, orbits._LANE_BLOCK, orbits._BLOCK_POINTS,
+                orbits._CHUNK_LANE_STEPS)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(sorted(SYSTEMS)),
     unit=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=30),
     stall=st.sampled_from([None, 0, 1, 3, 40]),
     max_steps=st.sampled_from([0, 1, 5, 60, 5000]),
     tol=st.sampled_from([1e-12, 0.0, 1e-3]),
+    sizes=st.sampled_from(BLOCK_SIZES),
 )
-def test_each_lane_equals_its_single_run(name, unit, stall, max_steps, tol):
+def test_each_lane_equals_its_single_run(name, unit, stall, max_steps, tol, sizes):
+    """Lane independence: an orbit's ReachResult (point bytes, cells,
+    steps_used, converged) is the same alone as next to other lanes in one
+    ``reaches`` call, at any position and for any block and chunk sizes.
+    The census's mid orbits and the dichotomy samples' robustness orbits
+    share one engine call on this."""
     make, grid = SYSTEMS[name]
     sys = make()
     lo, hi = sys.domain.bounds[:, 0], sys.domain.bounds[:, 1]
     starts = np.array([sys.domain.canon(lo + np.array(u[:sys.domain.ndim]) * (hi - lo))
                        for u in unit])
-    # tiny blocks and chunks, so that lanes cross block and chunk boundaries
-    # and blocks shrink when their orbits are long
-    with mock.patch.object(orbits, "_LANE_BLOCK", 4), \
-            mock.patch.object(orbits, "_BLOCK_POINTS", 40), \
-            mock.patch.object(orbits, "_CHUNK_LANE_STEPS", 24):
+    with mock.patch.multiple(orbits, **dict(zip(
+            ("_FIRST_BLOCK", "_LANE_BLOCK", "_BLOCK_POINTS", "_CHUNK_LANE_STEPS"), sizes))):
         batch = list(reaches(sys, starts, grid, max_steps, tol, stall))
     for x, res in zip(starts, batch, strict=True):
         kw = {"max_steps": max_steps, "tol": tol, "stall": stall}
