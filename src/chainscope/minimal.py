@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 from .geometry import CellSet, Grid, fatten, grid_for
 from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory
 from .reachability import (
@@ -28,6 +28,7 @@ from .reachability import (
     _first_true,
     _robust_samples,
     default_delta_schedule,
+    orbit_reach,
 )
 from .systems import System, _image_union
 from .transition import _reach_within, build_graph, recurrent_cells
@@ -222,9 +223,8 @@ def minimal_sets(
     Each level after the first builds its graph only on the refinement of
     the cells of the level before's components: every component of the
     finer graph lies there (see the README on subdivision).  Every
-    component's mid orbit runs as a lane of one engine call, then the rep
-    orbits of the components their mid orbit did not cover as the lanes of
-    a second.
+    component's mid orbit runs as a lane of one engine call; a component
+    that its mid orbit does not cover runs its rep orbit on its own.
     """
     return _census(sys, eps0, levels, base_grid, orbit_max_steps, [])[0]
 
@@ -237,24 +237,12 @@ def _resume_from(points, n: int):
     return points[k].copy(), k
 
 
-def _step_points(sys, ends, n: int, u) -> np.ndarray:
-    """The point at step n under the control u of each trajectory of
-    ``ends``, (point, k) pairs, point its step k <= n: each carries on for
-    its own n - k steps, the trajectories as lanes."""
-    pts = np.array([p for p, _ in ends])
-    left = n - np.array([k for _, k in ends])
-    for j in range(int(left.max(initial=0))):
-        on = left > j
-        pts[on] = sys.image_points(pts[on], u)
-    return pts
-
-
 def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
     """``minimal_sets``, with the orbits from ``extra``, a list of canonical
     points, run as further lanes of the mid orbits' engine call.  Returns the
     census and the iterator of those orbits' ``ReachResult``, in order, read
-    lazily.  Each error is raised where a loop over the components would
-    raise it."""
+    lazily.  The components read their orbits in order, so each error is
+    raised where a loop over the components would raise it."""
     if base_grid is None:
         base_grid = grid_for(sys.domain, eps0)
     counts: list[int] = []
@@ -287,40 +275,24 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
     unions = [np.unique(np.concatenate([finest[i] for i in groups[k]])) for k in keys]
 
     # every mid orbit, then the extra orbits, as the lanes of one engine
-    # call; a mid orbit that left the domain raises after the components
-    # before it, whose rep orbits run as the lanes of a second call
-    ndim, radius = grid_f.domain.ndim, eps_f + grid_f.cell_diameter
+    # call, read in component order; a rep orbit runs on its own
+    radius = eps_f + grid_f.cell_diameter
     mids = [grid_f.cell_center(int(union[union.size // 2])) for union in unions]
-    first = reaches(sys, np.array(mids + extra).reshape(-1, ndim), grid_f,
-                    orbit_max_steps)
-    sampled, ends, failed = [], [], None
-    for union, mid in zip(unions, mids):
-        try:
-            orb = next(first)
-        except DomainError as exc:
-            failed = exc
-            break
-        cells = CellSet.from_indices(grid_f, union)
-        covers = orb.converged and cells.issubset(fatten(orb.cells, radius))
-        # a shrink test reads the points of a converged orbit that does not
-        # cover; the copy lets the orbit's block be freed
-        sampled.append((cells, covers,
-                        [orb.points.copy()] if orb.converged and not covers else []))
-        # a trajectory's settle carries on from its mid orbit
-        ends.append((mid, 0) if sys.multivalued else _resume_from(orb.points, SETTLE))
-    reps = reaches(sys, np.array([
-        grid_f.cell_center(int(union[0]))
-        for union, (_, covers, _) in zip(unions, sampled) if not covers
-    ]).reshape(-1, ndim), grid_f, orbit_max_steps)
-    settles = _step_points(sys, ends, SETTLE, sys.controls[0])
-
+    first = reaches(sys, np.array(mids + extra).reshape(-1, grid_f.domain.ndim),
+                    grid_f, orbit_max_steps)
     out = []
-    for key, union, (cells, covers, orbits), mid, settle in zip(
-            keys, unions, sampled, mids, settles):
+    for key, union, mid in zip(keys, unions, mids):
+        cells = CellSet.from_indices(grid_f, union)
+        orb = next(first)
+        # a trajectory's settle carries on from its mid orbit
+        end = (mid, 0) if sys.multivalued else _resume_from(orb.points, SETTLE)
+        orbits = [orb] if orb.converged else []
+        covers = bool(orbits) and cells.issubset(fatten(orb.cells, radius))
         if not covers:
-            orb = next(reps)
+            orb = orbit_reach(sys, grid_f.cell_center(int(union[0])), grid_f,
+                              max_steps=orbit_max_steps)
             if orb.converged:
-                orbits.append(orb.points)
+                orbits.append(orb)
                 covers = cells.issubset(fatten(orb.cells, radius))
 
         # shrink evidence: the slice of the component beyond the sampled
@@ -333,7 +305,7 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
             anc = comps_0[key]
             shrinks = union.size <= SHRINK_RATIO * len(anc) * scale
             if not shrinks and orbits:
-                pts = orbits[0]
+                pts = orbits[0].points
                 hull_f = fatten(
                     CellSet.from_indices(grid_f, np.unique(grid_f.cells_of(pts))),
                     radius,
@@ -348,15 +320,14 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
 
         out.append(MinimalSetApprox(
             cells=cells,
-            classification=_classify(sys, cells, settle),
+            classification=_classify(sys, cells, advance(
+                sys, end[0][None, :], sys.controls[0], SETTLE - end[1])[0]),
             representative=tuple(float(v) for v in mid),
             evidence_minimal=shrinks or covers,
             shrinks=shrinks,
             orbit_covers=covers,
             fragment_count=len(groups[key]),
         ))
-    if failed is not None:
-        raise failed
 
     # isolation flags at the finest level
     for i, comp in enumerate(out):
@@ -642,11 +613,11 @@ def dichotomy_report(
     unconstrained (noted, vacuously consistent).
     """
     # the samples' robustness orbits run as further lanes of the census's
-    # mid orbits; a sample that does not canonicalize raises where the
-    # samples are read, after the census and stability errors
+    # mid orbits; whatever a sample that does not canonicalize raises is
+    # raised where the samples are read, after the census and stability errors
     try:
         samples, bad = [sys.domain.canon(p) for p in sample_points], None
-    except (TypeError, ValueError, DomainError) as exc:
+    except Exception as exc:
         samples, bad = [], exc
     census, sample_orbits = _census(sys, eps0, levels, base_grid, orbit_max_steps, samples)
     grid_f = census.grid_finest
@@ -706,9 +677,13 @@ def dichotomy_report(
             comp.cells, census.eps_finest + census.grid_finest.cell_diameter
         )
         # a trajectory keeps its steps 0, 1, ... in order, so each burn-in
-        # carries on from the orbit's last kept point
+        # carries on from the orbit's last kept point, the lanes together
         u = sys.controls[0]
-        pts = _step_points(sys, ends, BURN_IN, u)
+        pts = np.array([p for p, _ in ends])
+        left = BURN_IN - np.array([k for _, k in ends])
+        for j in range(int(left.max(initial=0))):
+            on = left > j
+            pts[on] = sys.image_points(pts[on], u)
         attraction = all(om.stabilized and om.cells.issubset(hull) for om in
                          _omega_tails(sys, pts, grid_f, u, BURN_IN, WINDOW, TAIL_STEPS))
     return DichotomyReport(

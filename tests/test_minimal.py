@@ -530,10 +530,9 @@ CENSUS_SYSTEMS = {
 @pytest.mark.parametrize("max_steps", [200_000, 150])
 @pytest.mark.parametrize("name", sorted(CENSUS_SYSTEMS))
 def test_census_matches_the_per_component_loop(name, max_steps):
-    """Every mid orbit as a lane of one engine call, then the rep orbits the
-    mid orbits did not cover as the lanes of a second, and each settle
-    carried on from its mid orbit: the census record, and any error, equal
-    those of one orbit_reach call per orbit."""
+    """Every mid orbit as a lane of one engine call, read in component
+    order, and each settle carried on from its mid orbit: the census record,
+    and any error, equal those of one orbit_reach call per orbit."""
     make, grid, eps0 = CENSUS_SYSTEMS[name]
     sys = make()
     results = []
@@ -624,14 +623,16 @@ def test_dichotomy_samples_match_the_per_sample_loop(name, unit, max_steps, omeg
 
 
 def test_dichotomy_reads_a_malformed_sample_after_the_census():
-    """The samples run as lanes of the census's engine call, but one that
-    does not canonicalize raises where the samples are read: after the
-    census's own errors."""
+    """The samples run as lanes of the census's engine call, but whatever a
+    sample that does not canonicalize raises is raised where the samples are
+    read: after the census's own errors."""
     kw = dict(eps0=4.5 / 64, levels=2, base_grid=Grid(BOX, 64))
-    with pytest.raises(DomainError, match="outside domain"):
-        dichotomy_report(_leaky(), [[0.5], [0.5, 0.5]], **kw)
-    with pytest.raises(DomainError, match="point has 2 coordinates"):
-        dichotomy_report(square(), [[0.5], [0.5, 0.5]], **kw)
+    for bad, error, match in (([0.5, 0.5], DomainError, "point has 2 coordinates"),
+                              ([10 ** 400], OverflowError, "too large")):
+        with pytest.raises(DomainError, match="outside domain"):
+            dichotomy_report(_leaky(), [[0.5], bad], **kw)
+        with pytest.raises(error, match=match):
+            dichotomy_report(square(), [[0.5], bad], **kw)
 
 
 def test_golden_dichotomy_map_calls():
