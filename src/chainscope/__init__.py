@@ -10,6 +10,17 @@ compact spaces.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# numpy and scipy each bundle an OpenBLAS, which starts a pool of threads
+# when it loads and leaves them busy-waiting for a while; on a small host
+# they take cores from the single thread that does all of chainscope's work.
+# chainscope's only BLAS calls are np.linalg.norm of a 2x2 matrix and of a
+# 2-vector, which use no threads.  OpenBLAS reads this only when it loads, so
+# it is set before this package imports numpy or scipy.  A caller's own value
+# wins, and a caller that imported numpy first keeps numpy's pool.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     ChainscopeError,
     ConfigError,

@@ -243,6 +243,8 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
     census and the iterator of those orbits' ``ReachResult``, in order, read
     lazily.  The components read their orbits in order, so each error is
     raised where a loop over the components would raise it."""
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     if base_grid is None:
         base_grid = grid_for(sys.domain, eps0)
     counts: list[int] = []

@@ -28,17 +28,21 @@ run as difference-array sweeps over the ranges: no sweep materializes an
 edge.  For the SCC pass the graph lays its ranges out as CSR in place, 12
 bytes per edge (int32 indices, float64 data: scipy copies neither), each
 cell's ranges made disjoint and sorted first: scipy's strong
-``connected_components`` (1.17) can hang on a repeated edge.
+``connected_components`` (1.17) can hang on a repeated edge.  scipy is
+imported by the SCC pass only, so a run without one never loads it.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptySetError, GridMismatchError
 from .geometry import CellSet, Grid, _range_union
 from .systems import System, _cell_images, _check_edge_cap
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class TransitionGraph:
@@ -139,6 +143,8 @@ class TransitionGraph:
         bytes per edge; row i lists i's successors in order, once each.  The
         int32 indices are one cumsum of steps: +1 inside a range and a jump
         at each range's first entry."""
+        import scipy.sparse as sp
+
         m = self.cells.size
         start, length, row_len = self._disjoint_ranges()
         indices = np.ones(_check_edge_cap(int(row_len.sum())), np.int32)
@@ -278,6 +284,8 @@ def recurrent_cells(g: TransitionGraph) -> list[CellSet]:
     A component is kept when it has at least two cells or a self-loop.
     Components come back disjoint and ordered by their smallest member index.
     """
+    from scipy.sparse.csgraph import connected_components
+
     _, labels = connected_components(g.to_csr(), directed=True,
                                      connection="strong")
     kept = np.bincount(labels) >= 2

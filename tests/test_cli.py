@@ -429,14 +429,19 @@ def test_reports_byte_identical_across_reruns(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def _child(tmp_path, *args):
-    """``python *args`` in a fresh interpreter, run from tmp_path."""
+def _child(tmp_path, *args, **env_vars):
+    """``python *args`` in a fresh interpreter, run from tmp_path, with the
+    environment variables ``env_vars`` set (or unset, where None)."""
     # The child runs from tmp_path, where a relative PYTHONPATH entry such as
     # `src` no longer resolves; point it at the package this process imported.
     env = dict(os.environ)
     pkg_root = str(Path(chainscope.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    for name, value in env_vars.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, cwd=tmp_path, env=env)
 
@@ -496,3 +501,96 @@ print(before, 'scipy.spatial' in sys.modules, np.array_equal(got, want))
 """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "True"]
+
+
+# --------------------------------------------------------------------------
+# import footprint: scipy.sparse loads for the census commands only, in set-up
+# --------------------------------------------------------------------------
+
+AFFINE_2D = {"name": "affine2d",
+             "parameters": {"m": [[0.5, 0.1], [0, 0.6]], "b": [0.2, 0.15]}}
+SPARSE = "sorted(m for m in sys.modules if m.startswith('scipy.sparse'))"
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    proc = _child(tmp_path, "-c", "import sys, chainscope.cli; "
+                  "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("reach", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+               "x": 0.5}),
+    ("chainreach", {"system": {"name": "square"},
+                    "grid": {"cells_per_dim": [64]},
+                    "eps0": 0.1, "levels": 2, "start": [0.5]}),
+    ("chainreach", {"system": AFFINE_2D, "grid": {"cells_per_dim": [16, 16]},
+                    "eps0": 0.36, "levels": 2, "start": [[0.4, 0.5]]}),
+    ("robust", {"system": {"name": "square"}, "grid": {"cells_per_dim": [256]},
+                "x": 1.0, "eps": 0.1}),
+    ("verify", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+                "property": "lemma2", "instances": 2, "n_max": 50}),
+], ids=["reach", "chainreach-1d", "chainreach-2d", "robust", "verify-lemma2"])
+def test_command_without_scc_pass_loads_no_scipy_sparse(tmp_path, command, cfg):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    out = str(tmp_path / "r.json")
+    proc = _child(tmp_path, "-c", (
+        "import sys; from chainscope.cli import main; "
+        f"rc = main([{command!r}, '--config', {path!r}, '--out', {out!r}, '--quiet']); "
+        f"print(rc, {SPARSE})"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().split(maxsplit=1) == ["0", "[]"]
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("minimal", {"system": {"name": "square"},
+                 "grid": {"cells_per_dim": [512]}, "eps0": 0.01, "levels": 2}),
+    ("basin", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+               "eps0": 0.1, "levels": 1}),
+    ("dichotomy", {"system": {"name": "rotation",
+                              "parameters": {"theta": 0.6180339887498949}},
+                   "grid": {"cells_per_dim": [96]}, "eps0": 0.05, "levels": 2,
+                   "sample_points": [0.25, 0.75]}),
+])
+def test_census_handler_imports_nothing(tmp_path, command, cfg):
+    """Every import of a census command, scipy's csgraph too, happens in
+    ``cli.run`` before the handler starts: the handler adds no module."""
+    path = write_cfg(tmp_path, "c.json", cfg)
+    out = str(tmp_path / "r.json")
+    proc = _child(tmp_path, "-c", f"""
+import sys
+from chainscope import cli
+handler, added = getattr(cli, "_run_{command}"), []
+
+def wrapped(*args, **kwargs):
+    before = set(sys.modules)
+    try:
+        return handler(*args, **kwargs)
+    finally:
+        added.extend(sorted(set(sys.modules) - before))
+
+setattr(cli, "_run_{command}", wrapped)
+rc = cli.main([{command!r}, '--config', {path!r}, '--out', {out!r}, '--quiet'])
+print(rc, 'scipy.sparse.csgraph' in sys.modules, added)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().split(maxsplit=2) == ["0", "True", "[]"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc/self/task to count native threads")
+def test_cli_import_starts_no_blas_threads(tmp_path):
+    proc = _child(tmp_path, "-c", "import os, chainscope.cli; "
+                  "print(len(os.listdir('/proc/self/task')))",
+                  OPENBLAS_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+def test_caller_blas_threads_setting_is_kept(tmp_path):
+    proc = _child(tmp_path, "-c", "import os, chainscope.cli; "
+                  "print(os.environ['OPENBLAS_NUM_THREADS'])",
+                  OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"

@@ -174,6 +174,18 @@ def test_census_component_refinement_nesting():
     assert fine_cells.issubset(coarse_cells.refine(2))
 
 
+@pytest.mark.parametrize("levels", [0, -1])
+@pytest.mark.parametrize("entry", [
+    lambda levels: minimal_sets(square(), 0.1, levels=levels,
+                                base_grid=Grid(BOX, 64)),
+    lambda levels: dichotomy_report(square(), [[0.5]], eps0=0.1, levels=levels,
+                                    base_grid=Grid(BOX, 64)),
+], ids=["minimal_sets", "dichotomy_report"])
+def test_census_without_levels_is_a_named_error(entry, levels):
+    with pytest.raises(ValueError, match="levels must be >= 1"):
+        entry(levels)
+
+
 # --------------------------------------------------------------------------
 # classification
 # --------------------------------------------------------------------------
