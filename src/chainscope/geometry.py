@@ -426,11 +426,10 @@ class CellSet:
     # -- serialization -------------------------------------------------------
     def dumps(self) -> str:
         """One line per cell: comma-separated per-dimension indices, sorted."""
-        lines = []
-        for flat in self.indices():
-            idx = np.unravel_index(int(flat), self.grid.shape)
-            lines.append(",".join(str(int(i)) for i in idx))
-        return "\n".join(lines) + ("\n" if lines else "")
+        cols = [map(str, i.tolist())
+                for i in np.unravel_index(self.indices(), self.grid.shape)]
+        text = "\n".join(map(",".join, zip(*cols)))
+        return text + "\n" if text else ""
 
     def dump(self, fp):
         fp.write(self.dumps())
@@ -451,17 +450,25 @@ def _index_ranges(grid: Grid, lo, hi):
 
 
 def _range_union(n: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Mask of the n cells covered by the (start, length) ranges, by one
-    difference-array sweep; a range past n - 1 wraps to 0."""
-    ends = starts + lengths
-    diff = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(diff, starts, 1)
-    np.add.at(diff, np.minimum(ends, n), -1)
+    """Mask of the n cells covered by the (start, length) ranges; a range
+    past n - 1 wraps to 0.  Empty ranges are dropped and wrapped ones split
+    at 0, then one difference-array sweep runs over the span of the rest,
+    [min start, max end): the cost follows the ranges and their span, not n."""
+    keep = lengths > 0
+    starts, ends = starts[keep], starts[keep] + lengths[keep]
     over = ends > n
     if over.any():
-        diff[0] += int(np.count_nonzero(over))
-        np.add.at(diff, ends[over] - n, -1)
-    return np.cumsum(diff[:n]) > 0
+        # [start, n) and [0, end - n)
+        starts = np.concatenate([starts, np.zeros(np.count_nonzero(over), starts.dtype)])
+        ends = np.concatenate([np.minimum(ends, n), ends[over] - n])
+    mask = np.zeros(n, bool)
+    if starts.size:
+        lo, hi = int(starts.min()), int(ends.max())
+        diff = np.zeros(hi - lo + 1, np.int64)
+        np.add.at(diff, starts - lo, 1)
+        np.add.at(diff, ends - lo, -1)
+        mask[lo:hi] = np.cumsum(diff[:-1]) > 0
+    return mask
 
 
 def fatten(cells: CellSet, eps: float) -> CellSet:

@@ -25,9 +25,10 @@ Among the candidates each range is still one range, taken modulo m, found
 from a prefix count of the candidates.  So a ``TransitionGraph`` is its
 (start, length) arrays, one block of rows per control, and set-valued steps
 run as difference-array sweeps over the ranges: no sweep materializes an
-edge.  For the SCC pass the graph lays its ranges out as CSR in place, 12
-bytes per edge (int32 indices, float64 data: scipy copies neither), each
-cell's ranges made disjoint and sorted first: scipy's strong
+edge, and a forward sweep costs the frontier's ranges and their span, not
+the grid.  For the SCC pass the graph lays its ranges out as CSR, 12 bytes
+per edge (int32 indices, float64 data: scipy copies neither), each cell's
+ranges made disjoint and sorted first: scipy's strong
 ``connected_components`` (1.17) can hang on a repeated edge.  scipy is
 imported by the SCC pass only, so a run without one never loads it.
 """
@@ -141,17 +142,16 @@ class TransitionGraph:
     def to_csr(self) -> sp.csr_matrix:
         """The adjacency among the candidates, numbered 0..m-1, as CSR at 12
         bytes per edge; row i lists i's successors in order, once each.  The
-        int32 indices are one cumsum of steps: +1 inside a range and a jump
-        at each range's first entry."""
+        int32 indices are each range's first column, less its offset among
+        the indices, repeated over the range, plus one arange in place."""
         import scipy.sparse as sp
 
         m = self.cells.size
         start, length, row_len = self._disjoint_ranges()
-        indices = np.ones(_check_edge_cap(int(row_len.sum())), np.int32)
-        indices[np.cumsum(length) - length] = start - np.concatenate(
-            [[0], start[:-1] + length[:-1] - 1])
+        edges = _check_edge_cap(int(row_len.sum()))
+        indices = np.repeat((start - (np.cumsum(length) - length)).astype(np.int32), length)
+        indices += np.arange(edges, dtype=np.int32)
         del start, length   # the float64 data comes last, beside indices only
-        np.cumsum(indices, dtype=np.int32, out=indices)
         indptr = np.concatenate([[0], np.cumsum(row_len)])
         return sp.csr_matrix((np.ones(indices.size), indices, indptr),
                              shape=(m, m))

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
@@ -14,6 +14,7 @@ from chainscope.geometry import (
     Domain,
     Grid,
     _hausdorff_within,
+    _range_union,
     fatten,
     grid_for,
     hausdorff,
@@ -299,6 +300,64 @@ def test_fatten_circle_wraps():
     s = CellSet.from_points(g, [[0.0]])
     out = fatten(s, 0.02)
     assert {97, 98, 99, 0, 1, 2, 3}.issubset(set(out.indices()))
+
+
+# --------------------------------------------------------------------------
+# the range union kernel
+# --------------------------------------------------------------------------
+
+@st.composite
+def range_sets(draw):
+    """n cells and (start, length) ranges, 0 <= start <= n and
+    0 <= length <= n: empty, wrapped and whole-circle ranges included."""
+    n = draw(st.integers(1, 200))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                          max_size=12))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    starts, lengths = np.array(pairs, dtype).reshape(-1, 2).T
+    return n, starts, lengths
+
+
+def _union_oracle(n, starts, lengths):
+    mask = np.zeros(n, bool)
+    for s, length in zip(starts.tolist(), lengths.tolist()):
+        for j in range(length):
+            mask[(s + j) % n] = True
+    return mask
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=range_sets())
+@example(case=(1, np.zeros(0, np.int64), np.zeros(0, np.int64)))
+@example(case=(7, np.array([7, 3, 0]), np.array([0, 0, 0])))
+# a start at n is 0 modulo n
+@example(case=(7, np.array([7, 7]), np.array([0, 2])))
+@example(case=(7, np.array([4, 0]), np.array([7, 7])))
+@example(case=(200, np.array([0, 195, 0, 100]), np.array([0, 10, 0, 1])))
+def test_range_union_matches_set_union(case):
+    n, starts, lengths = case
+    assert np.array_equal(_range_union(n, starts, lengths),
+                          _union_oracle(n, starts, lengths))
+
+
+@pytest.mark.parametrize("starts,lengths", [
+    ([5, 9], [3, 3]),
+    # (0, 0) padding rows and an empty range at n must not widen the span
+    ([0, 5, 9, 2 ** 22], [0, 3, 3, 0]),
+])
+def test_range_union_memory_follows_the_span(starts, lengths):
+    # beyond its n-byte mask the kernel holds O(ranges + span); a difference
+    # array over every cell took two (n + 1) int64 arrays, 64 MiB here
+    n = 2 ** 22
+    starts, lengths = np.array(starts), np.array(lengths)
+    tracemalloc.start()
+    try:
+        mask = _range_union(n, starts, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.flatnonzero(mask).tolist() == [5, 6, 7, 9, 10, 11]
+    assert peak - mask.nbytes < 2 ** 20, peak
 
 
 # --------------------------------------------------------------------------

@@ -155,6 +155,31 @@ def test_2d_sweeps_match_integer_matvec(cells, diameters):
             assert np.array_equal(g.preimage_of(cells_).mask.reshape(-1), m @ vec > 0)
 
 
+@SETTINGS
+@given(shape=st.tuples(st.integers(6, 24), st.integers(6, 24)),
+       diameters=st.floats(4.0, 8.0), data=st.data())
+def test_2d_images_over_padding_rows_match_adjacency(shape, diameters, data):
+    # the rows of an image that fall outside the grid are (0, 0) ranges;
+    # the union over a few cells' rows must equal the adjacency, on the
+    # whole grid and on the subgraph of some candidates
+    grid = Grid(SKEW.domain, shape)
+    n = grid.n_cells
+    cands = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
+    cells = None if cands is None else CellSet.from_indices(grid, cands)
+    g = build_graph(SKEW, grid, diameters * grid.cell_diameter, cells)
+    m = g.cells.size
+    assert np.any((g.length == 0) & (g.start == 0))
+    adj = g.to_csr().astype(np.int64)
+    for _ in range(3):
+        local = np.zeros(m, bool)
+        local[data.draw(st.lists(st.integers(0, m - 1), max_size=5))] = True
+        want = np.zeros(n, bool)
+        want[g.cells] = local.astype(np.int64) @ adj > 0
+        got = g.image_of(CellSet.from_indices(grid, g.cells[local]))
+        assert np.array_equal(got.mask.reshape(-1), want)
+
+
 # --------------------------------------------------------------------------
 # memory and the edge cap
 # --------------------------------------------------------------------------
@@ -174,6 +199,24 @@ def test_recurrent_cells_peak_memory_per_edge():
         tracemalloc.stop()
     assert comps
     assert peak <= 14 * edges + 64 * grid.n_cells, peak / edges
+
+
+def test_to_csr_peak_memory_per_edge():
+    # the int32 indices are laid out beside one int32 arange, which is freed
+    # before the float64 data: 12 B per edge at the peak, plus O(ranges);
+    # scipy.sparse is imported above, so its import is not traced
+    sys = logistic(3.7)
+    grid = Grid(sys.domain, 1 << 16)
+    g = build_graph(sys, grid, 16 * grid.cell_diameter)
+    edges, ranges = g.edge_count(), g.length.size
+    tracemalloc.start()
+    try:
+        csr = g.to_csr()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert csr.nnz == edges
+    assert peak <= 12 * edges + 64 * ranges, peak / edges
 
 
 def _peak_while_raising(fn):
