@@ -5,14 +5,14 @@ Everything downstream rests on two conventions shown here:
   * geometric tests treat cells as closed boxes, so over-approximations
     keep every boundary-touching cell.
 """
-from chainscope import CellSet, Domain, Grid, fatten, hausdorff, metric_distance
+from chainscope import CellSet, Domain, Grid, fatten, hausdorff
 
 # -- domains and metrics ----------------------------------------------------
 box = Domain.box([[0.0, 1.0]])
 circle = Domain.circle()
 
-print("distance on [0,1]  :", metric_distance(box, 0.2, 0.7))
-print("distance on circle :", metric_distance(circle, 0.1, 0.9),
+print("distance on [0,1]  :", box.distance(0.2, 0.7))
+print("distance on circle :", circle.distance(0.1, 0.9),
       "(wraps around through 1.0)")
 
 # -- grids and the boundary convention ---------------------------------------

@@ -41,7 +41,6 @@ from .geometry import (
     fatten,
     grid_for,
     hausdorff,
-    metric_distance,
 )
 from .systems import (
     CATALOG,
@@ -74,7 +73,6 @@ from .reachability import (
     orbit_reach,
     replay_certificate,
     robustness_check,
-    safety_check,
     semicontinuity_probe,
     verify_initial_fattening,
 )

@@ -380,12 +380,8 @@ def _run_robust(cfg, system, grid):
     return EXIT_OK, outcome, work, sidecars
 
 
-def _census_args(cfg, grid):
-    return _positive(cfg, "eps0"), _positive(cfg, "levels", int), grid
-
-
 def _run_minimal(cfg, system, grid):
-    eps0, levels, grid = _census_args(cfg, grid)
+    eps0, levels = _positive(cfg, "eps0"), _positive(cfg, "levels", int)
     census = minimal_sets(system, eps0, levels, base_grid=grid)
     outcome = census.as_record()
     sidecars = {}
@@ -399,7 +395,7 @@ def _run_minimal(cfg, system, grid):
 
 
 def _run_basin(cfg, system, grid):
-    eps0, levels, grid = _census_args(cfg, grid)
+    eps0, levels = _positive(cfg, "eps0"), _positive(cfg, "levels", int)
     census = minimal_sets(system, eps0, levels, base_grid=grid)
     comp_idx = int(cfg.get("component", 0))
     if comp_idx >= len(census.components):

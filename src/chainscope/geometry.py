@@ -133,14 +133,6 @@ class Domain:
         return np.sqrt(np.sum(v * v, axis=-1))
 
 
-def metric_distance(domain: Domain, x, y) -> float:
-    """Distance between two domain points; raises DomainError outside."""
-    for p in (x, y):
-        if not domain.contains(p):
-            raise DomainError(f"point {p!r} outside domain")
-    return domain.distance(x, y)
-
-
 def _axis_index(x, lo, h, n, wrap):
     """Cell index along one axis, consistent with boundaries at lo + i*h."""
     t = np.floor((x - lo) / h).astype(np.int64)
@@ -430,9 +422,6 @@ class CellSet:
                 for i in np.unravel_index(self.indices(), self.grid.shape)]
         text = "\n".join(map(",".join, zip(*cols)))
         return text + "\n" if text else ""
-
-    def dump(self, fp):
-        fp.write(self.dumps())
 
 
 def _index_ranges(grid: Grid, lo, hi):

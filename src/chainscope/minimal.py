@@ -681,11 +681,8 @@ def dichotomy_report(
         # a trajectory keeps its steps 0, 1, ... in order, so each burn-in
         # carries on from the orbit's last kept point, the lanes together
         u = sys.controls[0]
-        pts = np.array([p for p, _ in ends])
-        left = BURN_IN - np.array([k for _, k in ends])
-        for j in range(int(left.max(initial=0))):
-            on = left > j
-            pts[on] = sys.image_points(pts[on], u)
+        pts = advance(sys, [p for p, _ in ends], u,
+                      BURN_IN - np.array([k for _, k in ends]))
         attraction = all(om.stabilized and om.cells.issubset(hull) for om in
                          _omega_tails(sys, pts, grid_f, u, BURN_IN, WINDOW, TAIL_STEPS))
     return DichotomyReport(

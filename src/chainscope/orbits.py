@@ -192,10 +192,18 @@ def trajectory(sys, pts, n, u=None, seq=None, t=0) -> np.ndarray:
     return out
 
 
-def advance(sys, pts, u, n: int) -> np.ndarray:
-    """``pts`` (B, d) after n steps under the control u."""
-    for _ in range(n):
-        pts = sys.image_points(pts, u)
+def advance(sys, pts, u, n) -> np.ndarray:
+    """``pts`` (B, d) after n steps under the control u: n is one step count
+    or one per row."""
+    pts, left = np.array(pts, dtype=float), np.broadcast_to(n, len(pts))
+    done = 0
+    # the rows with steps left go together, one phase per distinct count
+    for stop in np.unique(left[left > 0]).tolist():
+        on = left >= stop
+        sub = pts[on]
+        for _ in range(stop - done):
+            sub = sys.image_points(sub, u)
+        pts[on], done = sub, stop
     return pts
 
 

@@ -632,68 +632,3 @@ def semicontinuity_probe(
         if ok:
             return ProbeReport(mode, eps, delta, None, list(delta_schedule))
     return ProbeReport(mode, eps, None, violator, list(delta_schedule))
-
-
-# --------------------------------------------------------------------------
-# safety
-# --------------------------------------------------------------------------
-
-@dataclass
-class SafetyReport:
-    plain_safe: bool
-    eps_safe: bool
-    eps: float
-    guarantee_delta: float | None
-    robustness_verdict: str | None
-    notes: list
-
-    def as_record(self) -> dict:
-        return {
-            "plain_safe": self.plain_safe,
-            "eps_safe": self.eps_safe,
-            "eps": self.eps,
-            "guarantee_delta": self.guarantee_delta,
-            "robustness_verdict": self.robustness_verdict,
-            "notes": list(self.notes),
-        }
-
-
-def safety_check(
-    sys: System,
-    x,
-    safe_set: CellSet,
-    eps: float,
-    delta_schedule=None,
-    max_steps: int = 200_000,
-) -> SafetyReport:
-    """Check sampled-reach safety, eps-safety, and the perturbed-safety bonus.
-
-    When the eps-fattened reach stays inside the safe set and a robustness
-    certificate exists at the same eps, every delta-perturbed trajectory is
-    safe for the certified delta.
-    """
-    grid = safe_set.grid
-    orbit = orbit_reach(sys, x, grid, max_steps=max_steps)
-    if not orbit.converged:
-        raise InconclusiveError("sampled reach did not converge")
-    plain = orbit.cells.issubset(safe_set)
-    eps_safe = fatten(orbit.cells, eps).issubset(safe_set)
-    notes = []
-    guarantee = None
-    verdict = None
-    if eps_safe:
-        try:
-            _, schedule = _radius_schedule(sys, eps, delta_schedule, grid)
-            cert = _certify(sys, x, eps, schedule, grid, orbit)
-            verdict = cert.verdict
-            if cert.verdict == "robust-at-resolution":
-                guarantee = cert.delta_found
-                notes.append(
-                    f"delta-perturbed system safe for delta={cert.delta_found:g}"
-                )
-            else:
-                notes.append("eps-safe but not robust at resolution: no "
-                             "perturbed-safety guarantee")
-        except InconclusiveError as exc:
-            notes.append(f"robustness check inconclusive: {exc}")
-    return SafetyReport(plain, eps_safe, eps, guarantee, verdict, notes)

@@ -61,19 +61,6 @@ class System:
         """Vectorized raw evaluation in canonical form; no domain checks."""
         return self.domain.wrap(self.map_fn(np.asarray(points, dtype=float), u))
 
-    def image_point(self, x, u=None) -> np.ndarray:
-        """Evaluate f(x, u) with full domain/control checking."""
-        u = self._resolve_control(u)
-        p = self.domain.canon(x)
-        if not self.domain.contains(p):
-            raise SelfMapError(f"{self.name}: input {p!r} outside domain")
-        y = self.image_points(p[None, :], u)[0]
-        if not self.domain.contains(y):
-            raise SelfMapError(
-                f"{self.name}: f({p!r}, {u!r}) = {y!r} left the domain"
-            )
-        return y
-
 
 def image_cell(sys: System, cell: int, grid: Grid) -> CellSet:
     """Cells guaranteed to contain f(x, u) for every x in the cell, u in U.
@@ -172,26 +159,6 @@ def _check_edge_cap(count: int, unit: str = "edges") -> int:
     return count
 
 
-def _check_self_map(sys: System, samples: int = 64):
-    """Construction-time sampled self-map check (corners + interior grid)."""
-    d = sys.domain.ndim
-    lo, hi = sys.domain.bounds[:, 0], sys.domain.bounds[:, 1]
-    ticks = np.linspace(0.0, 1.0, max(2, int(round(samples ** (1.0 / d)))))
-    axes = [lo[k] + ticks * (hi[k] - lo[k]) for k in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    for u in sys.controls:
-        out = sys.image_points(pts, u)
-        if sys.domain.kind == "circle":
-            continue
-        if np.any(out < lo[None, :] - 0.0) or np.any(out > hi[None, :] + 0.0):
-            bad = pts[np.argmax(np.any((out < lo) | (out > hi), axis=1))]
-            raise SelfMapError(
-                f"{sys.name}: f({bad!r}, {u!r}) leaves the domain"
-            )
-    return sys
-
-
 # --------------------------------------------------------------------------
 # catalog
 # --------------------------------------------------------------------------
@@ -213,9 +180,7 @@ def square() -> System:
     def f(pts, u):
         return pts * pts
 
-    return _check_self_map(
-        System("square", Domain.box([[0, 1]]), {}, (None,), 2.0, f)
-    )
+    return System("square", Domain.box([[0, 1]]), {}, (None,), 2.0, f)
 
 
 def identity_map() -> System:
@@ -240,9 +205,7 @@ def logistic(r: float) -> System:
         # Python wrapper that costs more than the map on small batches
         return np.minimum(np.maximum(0.0, out), 1.0)
 
-    return _check_self_map(
-        System("logistic", Domain.box([[0, 1]]), {"r": r}, (None,), r, f)
-    )
+    return System("logistic", Domain.box([[0, 1]]), {"r": r}, (None,), r, f)
 
 
 def constant(c: float) -> System:

@@ -183,13 +183,6 @@ class TransitionGraph:
         cell = start // (m + 1)
         return start - cell * (m + 1), length, np.bincount(cell, length, m).astype(np.int64)
 
-    def dump_edges(self, fp):
-        """Textual edge list 'src -> dst1,dst2,...' sorted by src, one line
-        per candidate."""
-        for c in self.cells:
-            succ = ",".join(str(int(s)) for s in self.successors(c))
-            fp.write(f"{c} -> {succ}\n")
-
 
 def build_graph(sys: System, grid: Grid, eps: float,
                 cells: CellSet | None = None) -> TransitionGraph:

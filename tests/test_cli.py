@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -594,3 +595,27 @@ def test_caller_blas_threads_setting_is_kept(tmp_path):
                   OPENBLAS_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "2"
+
+
+# --------------------------------------------------------------------------
+# names the benchmark wraps
+# --------------------------------------------------------------------------
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.mark.skipif(not TRACER.is_file(), reason="perfbench/ is absent")
+def test_benchmark_spanned_names_exist():
+    # the benchmark's tracer drops the metrics of a function it cannot find
+    # instead of failing, so a deleted name would go unnoticed there
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{fn}" for mod, fn, _ in tracer.SPANNED if not callable(
+        getattr(importlib.import_module(f"chainscope.{mod}"), fn, None))]
+    assert missing == []
+    assert callable(chainscope.System.image_points)
+    # the counters the tracer reads off a built graph
+    grid = chainscope.Grid(chainscope.Domain.box([[0, 1]]), 8)
+    graph = chainscope.build_graph(chainscope.square(), grid, 0.5)
+    assert graph.n_cells == 8 and graph.edge_count() > 0

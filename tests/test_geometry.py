@@ -8,7 +8,7 @@ from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
 
 from chainscope import geometry
-from chainscope.errors import DomainError, EmptySetError, GridMismatchError
+from chainscope.errors import EmptySetError, GridMismatchError
 from chainscope.geometry import (
     CellSet,
     Domain,
@@ -18,7 +18,6 @@ from chainscope.geometry import (
     fatten,
     grid_for,
     hausdorff,
-    metric_distance,
     nearest_distances,
 )
 
@@ -31,11 +30,11 @@ CIRCLE = Domain.circle()
 # --------------------------------------------------------------------------
 
 def test_metric_box_euclidean():
-    assert metric_distance(BOX, 0.2, 0.7) == pytest.approx(0.5)
+    assert BOX.distance(0.2, 0.7) == pytest.approx(0.5)
 
 
 def test_metric_circle_wraparound():
-    assert metric_distance(CIRCLE, 0.1, 0.9) == pytest.approx(0.2)
+    assert CIRCLE.distance(0.1, 0.9) == pytest.approx(0.2)
 
 
 def test_circle_wrap_lands_in_unit_interval():
@@ -53,12 +52,7 @@ def test_circle_wrap_lands_in_unit_interval():
 
 def test_metric_identity_of_indiscernibles():
     for dom, x in [(BOX, 0.37), (CIRCLE, 0.91)]:
-        assert metric_distance(dom, x, x) == 0.0
-
-
-def test_metric_outside_domain_raises():
-    with pytest.raises(DomainError):
-        metric_distance(BOX, -0.1, 0.5)
+        assert dom.distance(x, x) == 0.0
 
 
 def test_metric_axioms_on_random_triples():

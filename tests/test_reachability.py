@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from chainscope import reachability
 from chainscope.errors import ControlError, InconclusiveError, ResourceLimitError
 from chainscope.geometry import CellSet, Domain, Grid, fatten, hausdorff
-from chainscope.orbits import reaches
 from chainscope.reachability import (
     chain_reach,
     default_delta_schedule,
@@ -14,7 +14,6 @@ from chainscope.reachability import (
     orbit_reach,
     replay_certificate,
     robustness_check,
-    safety_check,
     semicontinuity_probe,
     verify_initial_fattening,
 )
@@ -237,6 +236,10 @@ def test_square_at_zero_robust_and_replayable():
     assert cert.verdict == "robust-at-resolution"
     assert cert.delta_found >= 0.02
     assert replay_certificate(square(), cert, 0.0, g)
+    # a radius past the certified one lets the graph reach escape
+    assert cert.delta_found < 0.1
+    assert not replay_certificate(square(), dataclasses.replace(cert, delta_found=0.1),
+                                  0.0, g)
 
 
 def test_constant_robust_far_from_target():
@@ -250,6 +253,23 @@ def test_identity_non_robust_everywhere():
     cert = robustness_check(identity_map(), 0.5, 0.1, grid=g)
     assert cert.verdict == "non-robust-at-resolution"
     assert replay_certificate(identity_map(), cert, 0.5, g)
+
+
+def test_replay_rejects_tampered_witnesses():
+    g = Grid(BOX, 2 ** 12)
+    cert = robustness_check(square(), 1.0, 0.1, grid=g)
+    assert cert.verdict == "non-robust-at-resolution"
+    assert replay_certificate(square(), cert, 1.0, g)
+    # a chain that starts 1e-6 from x, close enough for its next step
+    moved = list(cert.witness)
+    moved[0] = dataclasses.replace(moved[0], point=(1.0 - 1e-6,))
+    # a step 2 * delta_min below the true image of the step before
+    pushed = list(cert.witness)
+    prev = pushed[1].point[0]
+    pushed[2] = dataclasses.replace(pushed[2], point=(prev * prev - 2 * cert.delta_min,))
+    for steps in (moved, pushed):
+        assert not replay_certificate(square(), dataclasses.replace(cert, witness=steps),
+                                      1.0, g)
 
 
 def test_robustness_schedule_monotone_containment():
@@ -395,42 +415,18 @@ def test_identity_probe_passes_both_modes():
         assert rep.found_delta is not None
 
 
-# --------------------------------------------------------------------------
-# safety
-# --------------------------------------------------------------------------
-
-def test_safety_eps_safe_with_guarantee():
-    g = Grid(BOX, 200)
-    rep = safety_check(square(), 0.5, CellSet.from_box(g, [0.0], [0.6]), 0.05)
-    assert rep.plain_safe and rep.eps_safe
-    assert rep.guarantee_delta is not None
+@pytest.mark.parametrize("x", [(0.3, 0.4), (0.0, 1.0)])
+def test_2d_ball_samples_lie_in_the_open_ball_and_the_domain(x):
+    square_2d = Domain.box([[0.0, 1.0], [0.0, 1.0]])
+    pts = reachability._ball_samples(square_2d, x, 0.1, 32)
+    assert pts.shape == (32, 2)
+    assert np.all(np.linalg.norm(pts - np.array(x), axis=1) < 0.1)
+    assert np.all(square_2d.inside(pts))
 
 
-def test_safety_plain_but_not_eps():
-    g = Grid(BOX, 200)
-    rep = safety_check(square(), 0.5, CellSet.from_box(g, [0.0], [0.5]), 0.05)
-    assert rep.plain_safe and not rep.eps_safe
-
-
-def test_safety_identity_no_guarantee():
-    g = Grid(BOX, 200)
-    rep = safety_check(identity_map(), 0.5, CellSet.from_box(g, [0.4], [0.6]),
-                       0.05)
-    assert rep.eps_safe
-    assert rep.guarantee_delta is None
-    assert rep.robustness_verdict == "non-robust-at-resolution"
-
-
-def test_safety_runs_its_orbit_once(monkeypatch):
-    # the robustness certificate reuses the orbit that decided eps-safety
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1].copy())
-        return reaches(*args, **kwargs)
-
-    monkeypatch.setattr(reachability, "reaches", counted)
-    g = Grid(BOX, 512)
-    rep = safety_check(square(), 0.5, CellSet.from_box(g, [0.0], [0.6]), 0.05)
-    assert rep.robustness_verdict == "robust-at-resolution"
-    assert len(calls) == 1 and calls[0].tolist() == [[0.5]]
+@pytest.mark.parametrize("mode", ["usc", "lsc"])
+def test_2d_probe_finds_a_radius(mode):
+    sys = affine2d([[0.5, 0.1], [0.0, 0.6]], [0.2, 0.15])
+    rep = semicontinuity_probe(sys, (0.3, 0.4), 0.5, mode,
+                               grid=Grid(sys.domain, (32, 32)))
+    assert rep.found_delta == 0.25

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope.errors import ControlError, SelfMapError
+from chainscope.errors import SelfMapError
 from chainscope.geometry import CellSet, Domain, Grid
 from chainscope.systems import (
     affine2d,
@@ -22,7 +22,7 @@ BOX = Domain.box([[0.0, 1.0]])
 
 def test_image_point_rotation():
     sys = rotation(0.25)
-    assert sys.image_point(0.5)[0] == pytest.approx(0.75)
+    assert sys.image_points([[0.5]], None)[0, 0] == pytest.approx(0.75)
 
 
 @pytest.mark.parametrize("theta", [0.6180339887498949, 1.0 / 3.0, 0.37, -0.25, -1e-17])
@@ -36,20 +36,12 @@ def test_rotation_wraps_once_with_the_old_bytes(theta):
 
 
 def test_image_point_square():
-    assert square().image_point(0.5)[0] == pytest.approx(0.25)
+    assert square().image_points([[0.5]], None)[0, 0] == pytest.approx(0.25)
 
 
 def test_image_point_drift_control():
     sys = drift_control(0.5)
-    assert sys.image_point(0.4, 0.1)[0] == pytest.approx(0.3)
-
-
-def test_control_errors():
-    sys = drift_control(0.5)
-    with pytest.raises(ControlError):
-        sys.image_point(0.4, 0.2)
-    with pytest.raises(ControlError):
-        sys.image_point(0.4)          # multivalued needs an explicit control
+    assert sys.image_points([[0.4]], 0.1)[0, 0] == pytest.approx(0.3)
 
 
 def test_drift_control_self_map_guard():
@@ -61,7 +53,7 @@ def test_affine2d_corner_check():
     with pytest.raises(SelfMapError):
         affine2d([[2.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
     sys = affine2d([[0.5, 0.0], [0.0, 0.5]], [0.25, 0.25])
-    out = sys.image_point([0.0, 1.0])
+    out = sys.image_points([[0.0, 1.0]], None)[0]
     assert out == pytest.approx([0.25, 0.75])
 
 
@@ -105,7 +97,7 @@ def test_self_map_sampled():
         for _ in range(200):
             x = lo + rng.random(sys.domain.ndim) * (hi - lo)
             for u in sys.controls:
-                assert sys.domain.contains(sys.image_point(x, u))
+                assert sys.domain.contains(sys.image_points(x[None, :], u)[0])
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -331,18 +329,6 @@ def test_depths_consistent_with_reach():
     reach, depths = forward_reach_depths(gr, start)
     assert np.array_equal(depths >= 0, reach.mask.reshape(-1))
     assert depths[g.cell_of(1.0)] == 0
-
-
-def test_edge_dump_format():
-    g = Grid(BOX, 8)
-    gr = build_graph(constant(0.5), g, 0.5)
-    buf = io.StringIO()
-    gr.dump_edges(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == 8
-    assert lines[0].startswith("0 -> ")
-    srcs = [int(l.split(" ")[0]) for l in lines]
-    assert srcs == sorted(srcs)
 
 
 def test_2d_graph_soundness():
