@@ -296,8 +296,12 @@ def test_grid_cap_checked_at_every_level(tmp_path, monkeypatch, capsys,
     ("dichotomy", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
                    "eps0": 0.1, "levels": 1, "sample_points": [0.5],
                    "eps": 0.3, "v_eps": 0.01}, "v_eps"),
+    # the samples' default schedule starts at eps/2, below the floor
+    ("dichotomy", {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+                   "eps0": 0.1, "levels": 1, "sample_points": [0.5],
+                   "v_eps": 0.3, "eps": 0.05}, "eps"),
 ], ids=["robust-delta-schedule", "chainreach-eps0", "robust-eps",
-        "dichotomy-v-eps"])
+        "dichotomy-v-eps", "dichotomy-eps"])
 def test_resolution_floor_error_names_key(tmp_path, capsys, command, cfg, key):
     path = write_cfg(tmp_path, "floor.json", cfg)
     out = str(tmp_path / "rep.json")

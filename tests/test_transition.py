@@ -15,6 +15,7 @@ from chainscope.systems import (
     square,
 )
 from chainscope.transition import (
+    _reach_within,
     backward_reach,
     build_graph,
     forward_reach,
@@ -127,8 +128,16 @@ def test_forward_reach_square_escapes_below_one():
 def test_forward_reach_empty_raises():
     g = Grid(BOX, 40)
     gr = build_graph(identity_map(), g, 0.1)
-    with pytest.raises(EmptySetError):
-        forward_reach(gr, CellSet.empty(g))
+    forward = "forward_reach from an empty start set"
+    for sweep, args, message in [
+        (forward_reach, (), forward),
+        (_reach_within, (CellSet.full(g),), forward),
+        (forward_reach_depths, (), forward),
+        (backward_reach, (), "backward_reach to an empty target set"),
+    ]:
+        with pytest.raises(EmptySetError) as info:
+            sweep(gr, CellSet.empty(g), *args)
+        assert str(info.value) == message, sweep.__name__
 
 
 def test_backward_reach_trivial_and_constant():
