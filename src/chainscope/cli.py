@@ -384,14 +384,20 @@ def _run_minimal(cfg, system, grid):
     eps0, levels = _positive(cfg, "eps0"), _positive(cfg, "levels", int)
     census = minimal_sets(system, eps0, levels, base_grid=grid)
     outcome = census.as_record()
-    sidecars = {}
-    for i, comp in enumerate(census.components):
-        name = f"minimal_component_{i}.csv"
-        outcome["components"][i]["cells_file"] = name
-        sidecars[name] = comp.cells.dumps()
+    sidecars = _component_sidecars("minimal", census, outcome)
     work = {"levels": levels,
             "finest_components": len(census.components)}
     return EXIT_OK, outcome, work, sidecars
+
+
+def _component_sidecars(command, census, outcome) -> dict:
+    """One cell dump per census component, each named in its outcome entry."""
+    sidecars = {}
+    for i, comp in enumerate(census.components):
+        name = f"{command}_component_{i}.csv"
+        outcome["components"][i]["cells_file"] = name
+        sidecars[name] = comp.cells.dumps()
+    return sidecars
 
 
 def _run_basin(cfg, system, grid):
@@ -427,11 +433,7 @@ def _run_dichotomy(cfg, system, grid):
         orbit_max_steps=int(cfg.get("max_steps", 200_000)),
     )
     outcome = rep.as_record()
-    sidecars = {}
-    for i, comp in enumerate(rep.census.components):
-        name = f"dichotomy_component_{i}.csv"
-        outcome["components"][i]["cells_file"] = name
-        sidecars[name] = comp.cells.dumps()
+    sidecars = _component_sidecars("dichotomy", rep.census, outcome)
     work = {
         "components": len(rep.census.components),
         "samples": len(rep.sample_points),

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .geometry import CellSet, Grid, fatten, grid_for
 from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory
 from .reachability import (
     RobustnessCertificate,
+    _certify,
     _first_true,
-    _robust_samples,
     default_delta_schedule,
     orbit_reach,
 )
@@ -54,14 +54,6 @@ class Classification:
             return f"periodic({self.period})"
         return self.kind
 
-    def as_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "period": self.period,
-            "control_fixed": self.control_fixed,
-            "representative": list(self.representative),
-        }
-
 
 @dataclass
 class StabilityResult:
@@ -70,18 +62,6 @@ class StabilityResult:
     w_radius: float | None
     witness_orbit: np.ndarray | None = field(repr=False, default=None)
     note: str = ""
-
-    def as_record(self) -> dict:
-        return {
-            "flag": self.flag,
-            "v_eps": self.v_eps,
-            "w_radius": self.w_radius,
-            "witness_points": (
-                [list(p) for p in self.witness_orbit[:64]]
-                if self.witness_orbit is not None else None
-            ),
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -527,13 +507,6 @@ class OmegaResult:
     stabilized: bool
     steps: int
 
-    def as_record(self) -> dict:
-        return {
-            "cell_count": len(self.cells),
-            "stabilized": self.stabilized,
-            "steps": self.steps,
-        }
-
 
 def omega_limit(
     sys: System,
@@ -639,11 +612,20 @@ def dichotomy_report(
 
     if bad is not None:
         raise bad
-    # each sample's robustness orbit, kept up to its step BURN_IN, which is
-    # where its omega tail starts
+    # each sample's certificate (default schedule), its orbit read just
+    # before it, so that each error is raised where a loop of
+    # robustness_check calls would raise it; the orbit is kept up to its step
+    # BURN_IN, which is where its omega tail starts
     certs, ends = [], []
-    for orbit, cert in _robust_samples(sys, samples, robust_eps, grid_f, sample_orbits):
-        certs.append(cert)
+    if samples:
+        if robust_eps <= 0:
+            raise ValueError("eps must be positive")
+        schedule = default_delta_schedule(robust_eps, grid_f.resolution_floor)
+    for p in samples:
+        if not sys.domain.contains(p):
+            raise DomainError(f"orbit start {p!r} outside domain")
+        orbit = next(sample_orbits)
+        certs.append(_certify(sys, p, robust_eps, schedule, grid_f, orbit))
         ends.append(_resume_from(orbit.points, BURN_IN))
     all_robust = all(c.verdict == "robust-at-resolution" for c in certs)
 

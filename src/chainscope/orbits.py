@@ -343,20 +343,13 @@ def run(sys, starts, grid, max_steps, tol, stall, u=None, seq=None, target=None)
     chunk ends at the earliest such step of the block's live lanes; this
     cap leaves the doubling of later chunks as it was.
     """
-    n_max = max(min(len(seq), max_steps) if seq is not None else max_steps, 0)
-    whole = seq is not None and len(seq) <= max_steps   # all of seq ran: converged
-
-    def one_block(block):
-        out = _orbit_block(sys, block, grid, n_max, tol, stall, u, seq, target)
-        out.steps_used = np.where(out.reason == STALL, out.last_new, out.stop)
-        out.converged = (out.reason != BUDGET) | whole
-        return out
-
-    return _blocks(one_block, starts)
+    return _blocks(lambda block: _orbit_block(sys, block, grid, max_steps, tol, stall,
+                                              u, seq, target), starts)
 
 
-def _orbit_block(sys, starts, grid, n_max, tol, stall, u, seq, target) -> _Lanes:
+def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _Lanes:
     """Run the lanes of one block of ``run``."""
+    n_max = max(min(len(seq), max_steps) if seq is not None else max_steps, 0)
     dom, n, d = grid.domain, grid.n_cells, grid.domain.ndim
     out = _Lanes(grid, len(starts))
     ids, pts, seen = out.start(starts, target)
@@ -410,6 +403,9 @@ def _orbit_block(sys, starts, grid, n_max, tol, stall, u, seq, target) -> _Lanes
         t += L
     out.stop[ids], out.last_new[ids] = t, last_new   # the budget ran out
     out.keys = seen
+    out.steps_used = np.where(out.reason == STALL, out.last_new, out.stop)
+    # a lane that ran all of seq converged
+    out.converged = (out.reason != BUDGET) | (seq is not None and len(seq) <= max_steps)
     return out
 
 

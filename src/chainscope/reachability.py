@@ -276,13 +276,6 @@ def robustness_check(
     at the smallest radius and realizes it as a genuine perturbed trajectory
     whose endpoint is farther than eps from every sampled reach point.
     """
-    grid, schedule = _radius_schedule(sys, eps, delta_schedule, grid)
-    return _certify(sys, x, eps, schedule, grid,
-                    orbit_reach(sys, x, grid, max_steps=max_steps))
-
-
-def _radius_schedule(sys, eps, delta_schedule, grid):
-    """The grid and the checked radius schedule of ``robustness_check``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if grid is None:
@@ -294,23 +287,8 @@ def _radius_schedule(sys, eps, delta_schedule, grid):
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("delta schedule must be strictly decreasing")
     grid.check_resolution(schedule[-1], "delta_schedule")
-    return grid, schedule
-
-
-def _robust_samples(sys, points, eps, grid, orbits):
-    """The sampled orbit reach and the ``robustness_check`` certificate (default
-    schedule) of each of ``points``, canonical points, in order, given
-    ``orbits``, the iterator of their ``ReachResult`` on ``grid``.  Each orbit
-    is read just before its certificate, so each error is raised where a loop
-    of ``robustness_check`` calls would raise it."""
-    if not points:
-        return
-    grid, schedule = _radius_schedule(sys, eps, None, grid)
-    for p in points:
-        if not sys.domain.contains(p):
-            raise DomainError(f"orbit start {p!r} outside domain")
-        orbit = next(orbits)
-        yield orbit, _certify(sys, p, eps, schedule, grid, orbit)
+    return _certify(sys, x, eps, schedule, grid,
+                    orbit_reach(sys, x, grid, max_steps=max_steps))
 
 
 def _certify(sys, x, eps, schedule, grid, orbit):

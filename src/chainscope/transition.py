@@ -218,7 +218,10 @@ def _closure(g: TransitionGraph, step, seed: CellSet,
     masks, by breadth-first sweeps; writes each newly reached candidate's
     sweep number into ``depths``.  Seed cells that are not candidates are
     kept, and have no edges.  Given ``allowed``, returns None as soon as a
-    sweep (or the seed) reaches a cell outside it."""
+    sweep (or the seed) reaches a cell outside it.  An empty seed is an
+    error, named for the forward sweeps."""
+    if not seed:
+        raise EmptySetError("forward_reach from an empty start set")
     if allowed is not None:
         if not seed.issubset(allowed):
             return None
@@ -239,23 +242,17 @@ def _closure(g: TransitionGraph, step, seed: CellSet,
 
 def forward_reach(g: TransitionGraph, start: CellSet) -> CellSet:
     """Least fixed point containing start and closed under graph successors."""
-    if not start:
-        raise EmptySetError("forward_reach from an empty start set")
     return _closure(g, g._image, start)
 
 
 def _reach_within(g: TransitionGraph, start: CellSet, allowed: CellSet) -> bool:
     """Whether ``forward_reach(g, start)`` lies inside ``allowed``; the sweep
     stops at the first level that leaves it."""
-    if not start:
-        raise EmptySetError("forward_reach from an empty start set")
     return _closure(g, g._image, start, allowed=allowed) is not None
 
 
 def forward_reach_depths(g: TransitionGraph, start: CellSet):
     """Forward reach plus per-cell BFS depth (-1 for unreached cells)."""
-    if not start:
-        raise EmptySetError("forward_reach from an empty start set")
     local = np.where(g._gather(start.mask), 0, -1)
     reached = _closure(g, g._image, start, local)
     depths = np.full(g.n_cells, -1, dtype=np.int64)
