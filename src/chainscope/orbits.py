@@ -3,15 +3,18 @@
 ``run`` advances the orbits from many start points together, as the lanes of
 a (B, d) array in time chunks, with the revisit, domain, new-cell and stall
 checks vectorized over each chunk; ``run_trees`` does the same for the
-breadth-first control trees of multivalued systems.  Lanes run in lazily
-yielded blocks whose size follows the orbits' length, so memory stays
-bounded and a reader that stops early skips the rest.  Results equal those
+breadth-first control trees of multivalued systems.  Steps are written in
+place into the chunk's buffer, and the revisit check (``_Visited``) costs
+the chunk's own points, not the held ones.  Lanes run in lazily yielded
+blocks whose size follows the orbits' length, so memory stays bounded and a
+reader that stops early skips the rest.  Results equal those
 of a one-point-per-step loop bit for bit.  Given a target cell mask, a lane
 also stops at its first kept cell in the target, so a reader that needs
 only whether an orbit comes near a set runs no step past the answer.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +93,7 @@ def _blocks(run_block, starts):
         lanes.b0 = b0
         yield lanes
         b0 += lanes.n_lanes
-        per_lane = -(-lanes.n_points // lanes.n_lanes)
+        per_lane = -(-sum(len(a) for a, _ in lanes.kept) // lanes.n_lanes)
         size = max(1, min(2 * size, _LANE_BLOCK, _BLOCK_POINTS // max(per_lane, 1)))
 
 
@@ -113,10 +116,6 @@ class _Lanes:
     @property
     def n_lanes(self) -> int:
         return self.stop.size
-
-    @property
-    def n_points(self) -> int:
-        return sum(len(lanes) for lanes, _ in self.kept)
 
     def fail(self, lane: int, point: np.ndarray):
         self.reason[lane] = OUTSIDE
@@ -171,24 +170,20 @@ class _Lanes:
 
 
 def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key is in ``sorted_keys``: by table if they span < 64 per key."""
+    if sorted_keys.size and sorted_keys[-1] - sorted_keys[0] < 64 * keys.size:
+        return np.isin(keys, sorted_keys, kind="table")
     pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
     return sorted_keys[pos] == keys
 
 
-def _merge(old: np.ndarray, new: np.ndarray, is_new: np.ndarray) -> np.ndarray:
-    """``old`` and ``new`` interleaved: ``new`` where is_new, ``old`` elsewhere."""
-    out = np.empty((is_new.size,) + old.shape[1:], old.dtype)
-    out[is_new] = new
-    out[~is_new] = old
-    return out
-
-
 def trajectory(sys, pts, n, u=None, seq=None, t=0) -> np.ndarray:
-    """(n, B, d): the images of ``pts`` (B, d) after steps t + 1 .. t + n;
-    step s applies seq[s - 1] if given, else u."""
+    """(n, B, d): the images of ``pts`` (B, d) after steps t + 1 .. t + n,
+    each written in place; step s applies seq[s - 1] if given, else u."""
     out = np.empty((n,) + pts.shape)
-    for j in range(n):
-        pts = out[j] = sys.image_points(pts, u if seq is None else seq[t + j])
+    step = sys.image_points
+    for row, v in zip(out, itertools.repeat(u) if seq is None else seq[t:t + n]):
+        pts = step(pts, v, row)
     return out
 
 
@@ -207,113 +202,103 @@ def advance(sys, pts, u, n) -> np.ndarray:
     return pts
 
 
-def _search_runs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per i, the first position in x[lo[i]:hi[i]], a sorted run, whose value
-    is not below v[i] (``searchsorted`` within runs, bisecting all at once)."""
-    lo, hi = lo.copy(), hi.copy()
-    while True:
-        run = lo < hi
-        if not run.any():
-            return lo
-        mid = (lo + hi) // 2
-        below = run & (x[np.where(run, mid, 0)] < v)
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(run & ~below, mid, hi)
-
-
 class _Visited:
-    """The kept points of a block's live lanes, sorted by lane and first
-    coordinate, for the revisit check; with tol <= 0 it holds nothing and
-    finds nothing."""
+    """The kept points of a block's live lanes, for the revisit check (off
+    when tol <= 0).  A key is lane * stride + bucket, the bucket being the
+    first coordinate's offset from the lower bound over w >= 2 tol (and over
+    2^-500, where squares underflow): points less than w apart have keys at
+    most 1 apart, and only such pairs are decided, exactly as
+    ``Domain.distances <= tol``.  Held points are runs sorted by key, merged
+    in twos (Bentley & Saxe); see the README.
+    """
 
-    def __init__(self, dom: Domain, tol: float, lane: np.ndarray, pts: np.ndarray):
-        self.dom, self.tol = dom, tol
-        order = np.lexsort((pts[:, 0], lane)) if tol > 0 else np.arange(0)
-        self.lane, self.pts = lane[order], pts[order]
+    def __init__(self, dom: Domain, tol: float):
+        self.dom, self.circle = dom, dom.kind == "circle"
+        self.tol = tol = tol if tol > 0 else 0.0   # NaN too: off
+        self.lo, width = float(dom.bounds[0, 0]), float(dom.widths[0])
+        w = max(2.0 * tol, width * 2.0 ** -40, 2.0 ** -500)
+        n = int(1.0 / w) if w <= 1.0 / 3 else 1   # the circle: whole buckets, or one
+        self.scale, self.top = (float(n), n - 1) if self.circle else (1.0 / w, int(width / w) + 1)
+        self.stride = self.top + 3
+        self.runs, self.chunk = [], None   # runs of (sorted keys, points); the last chunk
+
+    def _key(self, lane: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b = np.floor((x - self.lo) * self.scale)
+        b = np.fmax(np.fmin(b, self.top), 0.0)   # NaN: the top
+        return lane * self.stride + (b.astype(np.int64) + 1)
+
+    def keep(self, alive: np.ndarray):
+        """Hold the points of the last ``first_revisit`` call whose lanes are
+        flagged in ``alive``."""
+        if self.chunk is None:
+            return
+        keys, lane, pts = self.chunk
+        on, runs = alive[lane], self.runs
+        runs.append((keys, pts) if on.all() else (keys[on], pts[on]))
+        while len(runs) > 1 and runs[-2][0].size <= 2 * runs[-1][0].size:
+            (k1, p1), (k0, p0) = runs.pop(), runs.pop()
+            keys = np.concatenate([k0, k1])
+            order = np.argsort(keys, kind="stable")   # merges the two runs
+            runs.append((keys[order], np.concatenate([p0, p1])[order]))
 
     def first_revisit(self, lane, step, pts, n_lanes: int) -> np.ndarray:
         """Per lane (of n_lanes), the least step whose point lies within tol
         of an earlier point of the lane: a held one, or one of the chunk's
         ``pts`` (with their ``lane`` and ``step``) at a smaller step; _NEVER
-        if none.  The chunk's points are merged into the held ones, and
-        ``keep`` then drops those of the lanes that stopped.
+        if none.  A point that is not finite is within tol of none.
 
-        Each new point is paired with ever farther points of its lane in
-        sorted order, forwards and backwards (cyclically on the circle),
-        while the first-coordinate gap could still be within tol; that gap
-        bounds the distance from below and grows along the order, so no pair
-        within tol is missed.  New points at or past their lane's best step
-        so far are dropped, so steps computed past a revisit cost little.
+        In key order, each point meets the held points in its window, then
+        its 1st, 2nd, ... predecessor while in its window; pairs that lower
+        a lane's best drop the points at or past it and restart the scan.
         """
         best = np.full(n_lanes, _NEVER)
-        if self.tol <= 0:
+        self.chunk = None
+        if self.tol <= 0 or not lane.size:
             return best
-        finite = np.isfinite(pts).all(axis=1)   # never within tol of anything
-        lane, step, pts = lane[finite], step[finite], pts[finite]
-        order = np.lexsort((pts[:, 0], lane))
-        lane, step, pts = lane[order], step[order], pts[order]
-        runs = np.searchsorted(self.lane, np.arange(n_lanes + 1))   # each lane's run
-        pos = _search_runs(self.pts[:, 0], runs[lane], runs[lane + 1], pts[:, 0])
-        new = np.zeros(self.lane.size + lane.size, bool)
-        new[pos + np.arange(lane.size)] = True
-        self.lane = _merge(self.lane, lane, new)
-        self.pts = _merge(self.pts, pts, new)
-        step = _merge(np.zeros(new.size - lane.size, np.int64), step, new)
-        x, circle = self.pts[:, 0], self.dom.kind == "circle"
-        fresh = True
+        keys = self._key(lane, pts[:, 0])
+        q = np.argsort(keys)
+        keys, lq = keys[q], lane[q]
+        self.chunk = keys, lq, pts[q]
+        asks = [(keys, q)]
+        if self.circle and self.top:   # the first bucket asks one turn up, the last down
+            bucket = keys - lq * self.stride - 1
+            up, down = np.flatnonzero(bucket == 0), np.flatnonzero(bucket == self.top)
+            asks += [(keys[up] + (self.top + 1), q[up]), (keys[down] - (self.top + 1), q[down])]
+            if up.size:   # in the chunk, each pair across 0 is met from the copy up
+                at = np.searchsorted(keys, asks[1][0], "right")
+                keys, q = np.insert(keys, at, asks[1][0]), np.insert(q, at, asks[1][1])
+        found = False
+        for (held, held_pts), (ask, asked) in itertools.product(self.runs, asks):
+            lo = np.searchsorted(held, ask - 1)   # the first held key in each window
+            c = np.flatnonzero(held[np.minimum(lo, held.size - 1)] <= ask + 1)
+            if c.size:   # each asked point against each held one in its window
+                n = np.searchsorted(held, ask[c] + 1, "right") - lo[c]
+                i = np.repeat(asked[c], n)
+                j = np.repeat(lo[c] - (np.cumsum(n) - n), n) + np.arange(i.size)
+                found |= self._decide(best, lane[i], step[i], pts[i], held_pts[j])
+        k = 1
         while True:
-            if fresh:
-                q0 = np.flatnonzero(new)
-                drop = step[q0] >= best[self.lane[q0]]
-                if drop.any():
-                    on = np.ones(new.size, bool)
-                    on[q0[drop]] = False
-                    self.lane, self.pts, step, new = (
-                        self.lane[on], self.pts[on], step[on], new[on])
-                    x, q0 = self.pts[:, 0], np.flatnonzero(new)
-                runs = np.searchsorted(self.lane, np.arange(n_lanes + 1))
-                first = runs[self.lane[q0]]
-                size = runs[self.lane[q0] + 1] - first
-                ahead = behind = np.arange(q0.size)
-                k, fresh = 1, False
-            pairs = []
-            for sign in (1, -1):
-                act = ahead if sign > 0 else behind
-                q, f, n = q0[act], first[act], size[act]
-                if circle:
-                    p = f + (q - f + sign * k) % n
-                    wrapped = p < q if sign > 0 else p > q
-                    gap = np.where(wrapped, 1.0 - sign * (x[q] - x[p]), sign * (x[p] - x[q]))
-                    near = (k < n) & (gap <= self.tol)
-                else:
-                    p = q + sign * k
-                    on = (p >= f) & (p < f + n)
-                    p = np.where(on, p, q)
-                    gap = x[p] - x[q]
-                    near = on & (np.sqrt(gap * gap) <= self.tol)
-                if sign > 0:
-                    ahead = act[near]
-                else:
-                    behind = act[near]
-                pairs.append((q[near], p[near]))
-            if not ahead.size and not behind.size:
+            if k == 1:
+                if found:   # only points before their lane's best step
+                    on = step[q] < best[lane[q]]
+                    q, keys = q[on], keys[on]
+                pos = np.flatnonzero(keys[:-1] + 1 >= keys[1:]) + 1
+            else:
+                pos = pos[pos >= k]
+                pos = pos[keys[pos - k] + 1 >= keys[pos]]
+            if not pos.size:
                 return best
-            q, p = (np.concatenate(v) for v in zip(*pairs))
-            ln = self.lane[q]
-            at = np.maximum(step[q], step[p])
-            pair = at < best[ln]
-            if pair.any():
-                close = self.dom.distances(self.pts[q[pair]], self.pts[p[pair]]) <= self.tol
-                if close.any():
-                    np.minimum.at(best, ln[pair][close], at[pair][close])
-                    fresh = True
-            k += 1
+            i, j = q[pos], q[pos - k]
+            pair = i != j   # a copy's window may hold its own point
+            i, j = i[pair], j[pair]
+            found = self._decide(best, lane[i], np.maximum(step[i], step[j]), pts[i], pts[j])
+            k = 1 if found else k + 1
 
-    def keep(self, alive: np.ndarray):
-        """Hold only the points of the lanes flagged in ``alive``."""
-        if self.tol > 0:
-            on = alive[self.lane]
-            self.lane, self.pts = self.lane[on], self.pts[on]
+    def _decide(self, best, lane, at, p, r) -> bool:
+        """Lower best[lane] to ``at`` where p is within tol of r; whether any was."""
+        close = self.dom.distances(p, r) <= self.tol
+        np.minimum.at(best, lane[close], at[close])
+        return close.any()
 
 
 def _first_step(flags: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -353,7 +338,9 @@ def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _L
     dom, n, d = grid.domain, grid.n_cells, grid.domain.ndim
     out = _Lanes(grid, len(starts))
     ids, pts, seen = out.start(starts, target)
-    held = _Visited(dom, tol, ids, pts)
+    held = _Visited(dom, tol)   # holds the starts, as the points of step 0
+    held.first_revisit(ids, np.zeros_like(ids), pts, len(starts))
+    held.keep(np.ones(len(starts), bool))
     last_new = np.zeros(ids.size, np.int64)
     t, span = 0, _FIRST_CHUNK
     while ids.size and t < n_max:
@@ -365,21 +352,27 @@ def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _L
             ys = trajectory(sys, pts, L, u, seq, t)
             steps = t + 1 + np.arange(L)[:, None]
             ok = dom.inside(ys)
-            cells = grid.cells_of(np.where(ok[..., None], ys, dom.bounds[:, 0]).reshape(-1, d))
+            inner = ys if ok.all() else np.where(ok[..., None], ys, dom.bounds[:, 0])
+            cells = grid.cells_of(inner.reshape(-1, d))
             keys = (ids * n + cells.reshape(L, m)).ravel()
+            # the first of each key not yet seen; in a stall phase there is none
+            unseen = np.flatnonzero(ok.ravel() & ~_member(seen, keys))
             new = np.zeros(keys.size, bool)
-            new[np.unique(keys, return_index=True)[1]] = True
-            new = ok & (new & ~_member(seen, keys)).reshape(L, m)
+            new[unseen[np.unique(keys[unseen], return_index=True)[1]]] = True
+            new = new.reshape(L, m)
             ln = np.maximum.accumulate(np.where(new, steps, last_new), axis=0)
-            revisit = held.first_revisit(np.tile(ids, L), np.repeat(steps[:, 0], m),
-                                         ys.reshape(-1, d), len(starts))[ids]
-        events = np.stack([
-            revisit,
-            _first_step(~ok, steps),
-            np.full(m, _NEVER) if target is None else
-            _first_step(new & target[cells.reshape(L, m)], steps),
-            _first_step(ok & ~new & (steps - ln >= stall), steps),
-        ])
+            events = np.stack([
+                np.empty(m, np.int64),   # REVISIT, below
+                _first_step(~ok, steps),
+                np.full(m, _NEVER) if target is None else
+                _first_step(new & target[cells.reshape(L, m)], steps),
+                _first_step(ok & ~new & (steps - ln >= stall), steps),
+            ])
+            # a revisit wins a tie, and one after a lane's other stop is moot
+            on = (steps <= events[1:].min(axis=0)).ravel()
+            on = slice(None) if on.all() else on   # then ys is read in place
+            events[REVISIT] = held.first_revisit(np.tile(ids, L)[on], np.repeat(steps, m)[on],
+                                                 ys.reshape(-1, d)[on], len(starts))[ids]
         reason, at = events.argmin(axis=0), events.min(axis=0)
         done = at < _NEVER
         # a HIT or STALL point is kept, a REVISIT or OUTSIDE one is not
@@ -427,15 +420,6 @@ def run_trees(sys, starts, grid, max_sweeps, target=None):
 def _tree_block(sys, starts, grid, max_sweeps, target) -> _Lanes:
     dom, n, d = grid.domain, grid.n_cells, grid.domain.ndim
     out = _Lanes(grid, len(starts))
-
-    def drop_hits(lane, pts, cells):
-        if target is None:
-            return lane, pts
-        hit = np.unique(lane[target[cells]])
-        out.reason[hit] = HIT
-        on = ~np.isin(lane, hit)
-        return lane[on], pts[on]
-
     lane, pts, seen = out.start(starts, target)
     for _ in range(max(max_sweeps, 0)):
         if not lane.size:
@@ -457,7 +441,11 @@ def _tree_block(sys, starts, grid, max_sweeps, target) -> _Lanes:
         seen = np.sort(np.concatenate([seen, keys[first]]))
         lane, pts = ly[first], ys[first]
         out.kept.append((lane, pts))
-        lane, pts = drop_hits(lane, pts, cells[first])
+        if target is not None:
+            hit = np.unique(lane[target[cells[first]]])
+            out.reason[hit] = HIT
+            on = ~np.isin(lane, hit)
+            lane, pts = lane[on], pts[on]
     out.keys, out.steps_used = seen, out.stop
     out.converged = out.reason != OUTSIDE
     out.converged[lane] = False

@@ -57,9 +57,10 @@ class System:
             raise ControlError(f"{self.name}: control {u!r} not in control set")
         return u
 
-    def image_points(self, points: np.ndarray, u) -> np.ndarray:
-        """Vectorized raw evaluation in canonical form; no domain checks."""
-        return self.domain.wrap(self.map_fn(np.asarray(points, dtype=float), u))
+    def image_points(self, points: np.ndarray, u, out=None) -> np.ndarray:
+        """Vectorized raw evaluation in canonical form; no domain checks.
+        Given ``out``, the images are written there."""
+        return self.domain.wrap(self.map_fn(np.asarray(points, dtype=float), u), out)
 
 
 def image_cell(sys: System, cell: int, grid: Grid) -> CellSet:
@@ -151,7 +152,7 @@ def _check_edge_cap(count: int, unit: str = "edges") -> int:
     ResourceLimitError.  ``count`` counts edges, or the cell-image ranges
     that a 2-D build is about to store."""
     if count > MAX_EXPLICIT_EDGES:
-        cost = (f" ({12 * count} bytes at 12 B per edge in the SCC pass)"
+        cost = (f" ({8 * count} bytes at 8 B per edge in the SCC pass)"
                 if unit == "edges" else "")
         raise ResourceLimitError(
             f"transition graph needs {count} {unit}{cost}, above the edge cap "

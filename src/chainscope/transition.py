@@ -26,8 +26,8 @@ from a prefix count of the candidates.  So a ``TransitionGraph`` is its
 (start, length) arrays, one block of rows per control, and set-valued steps
 run as difference-array sweeps over the ranges: no sweep materializes an
 edge, and a forward sweep costs the frontier's ranges and their span, not
-the grid.  For the SCC pass the graph lays its ranges out as CSR, 12 bytes
-per edge (int32 indices, float64 data: scipy copies neither), each cell's
+the grid.  For the SCC pass the graph lays its ranges out as CSR, 8 bytes
+per edge (int32 indices, one broadcast 1.0 as data), each cell's
 ranges made disjoint and sorted first: scipy's strong
 ``connected_components`` (1.17) can hang on a repeated edge.  scipy is
 imported by the SCC pass only, so a run without one never loads it.
@@ -140,10 +140,11 @@ class TransitionGraph:
         return int(self._disjoint_ranges()[2].sum())
 
     def to_csr(self) -> sp.csr_matrix:
-        """The adjacency among the candidates, numbered 0..m-1, as CSR at 12
+        """The adjacency among the candidates, numbered 0..m-1, as CSR at 8
         bytes per edge; row i lists i's successors in order, once each.  The
         int32 indices are each range's first column, less its offset among
-        the indices, repeated over the range, plus one arange in place."""
+        the indices, repeated over the range, plus one arange in place.  The
+        data is one read-only 1.0, broadcast: the SCC pass never reads it."""
         import scipy.sparse as sp
 
         m = self.cells.size
@@ -151,9 +152,9 @@ class TransitionGraph:
         edges = _check_edge_cap(int(row_len.sum()))
         indices = np.repeat((start - (np.cumsum(length) - length)).astype(np.int32), length)
         indices += np.arange(edges, dtype=np.int32)
-        del start, length   # the float64 data comes last, beside indices only
+        del start, length
         indptr = np.concatenate([[0], np.cumsum(row_len)])
-        return sp.csr_matrix((np.ones(indices.size), indices, indptr),
+        return sp.csr_matrix((np.broadcast_to(1.0, edges), indices, indptr),
                              shape=(m, m))
 
     def _disjoint_ranges(self):
@@ -295,17 +296,20 @@ def extract_path(g: TransitionGraph, depths: np.ndarray, end_cell: int):
     Returns cells from a depth-0 cell to ``end_cell``; each consecutive pair
     is a graph edge.  Predecessors are chosen deterministically (smallest
     index at the previous depth): only the cells at that depth are tested
-    for an edge into the current cell.
+    for an edge into the current cell.  One stable sort by depth (radix, in
+    16 bits) makes each depth a slice in index order.
     """
     path = [int(end_cell)]
     d = int(depths[end_cell])
     if d < 0:
         raise ValueError("end cell was not reached")
     if d:
-        local = depths[g.cells]
+        local = np.minimum(depths[g.cells], d)   # the deeper cells are never read
+        order = np.argsort(local.astype(np.int16) if d < 2 ** 15 else local, kind="stable")
+        first = np.searchsorted(local[order], np.arange(d + 1))
         cur = g._label(int(end_cell))
         for level in range(d, 0, -1):
-            preds = np.flatnonzero(local == level - 1)
+            preds = order[first[level - 1]:first[level]]
             cur = int(preds[np.argmax(np.any(g._hits(preds, cur), axis=0))])
             path.append(int(g.cells[cur]))
     path.reverse()

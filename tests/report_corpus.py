@@ -16,6 +16,8 @@ To rewrite the manifest, run from the repository root
 
 It prints the entries that moved. A change that moves report bytes
 regenerates the manifest and names the moved entries in CHANGES.md.
+With ``--check`` it prints the moved entries and exits 1 if any moved,
+leaving the manifest as it is.
 """
 from __future__ import annotations
 
@@ -224,10 +226,11 @@ def load_manifest() -> dict:
     return json.loads(MANIFEST.read_text())
 
 
-def main_regenerate() -> int:
+def main_regenerate(check: bool = False) -> int:
     old = load_manifest()["entries"] if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         new = {name: run_entry(name, Path(tmp) / name) for name in CORPUS}
+    moved = 0
     for name in sorted(old.keys() | new.keys()):
         if name not in new:
             print(f"removed: {name}")
@@ -236,10 +239,15 @@ def main_regenerate() -> int:
         elif old[name] != new[name]:
             fields = [k for k in new[name] if old[name].get(k) != new[name][k]]
             print(f"moved: {name} ({', '.join(fields)})")
+        else:
+            continue
+        moved += 1
+    if check:
+        return 1 if moved else 0
     MANIFEST.write_text(json.dumps({"versions": versions(), "entries": new},
                                    indent=1, sort_keys=True) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_regenerate())
+    sys.exit(main_regenerate(check=sys.argv[1:] == ["--check"]))

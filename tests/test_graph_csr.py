@@ -185,8 +185,9 @@ def test_2d_images_over_padding_rows_match_adjacency(shape, diameters, data):
 # --------------------------------------------------------------------------
 
 def test_recurrent_cells_peak_memory_per_edge():
-    # about 12 B per edge (int32 indices, float64 data) plus O(n); merging a
-    # COO through tocsr and letting scipy copy the data took about 30
+    # about 8 B per edge (int32 indices; the data is one broadcast value)
+    # plus O(n); merging a COO through tocsr and letting scipy copy the data
+    # took about 30
     sys = logistic(3.7)
     grid = Grid(sys.domain, 1 << 16)
     g = build_graph(sys, grid, 16 * grid.cell_diameter)
@@ -198,12 +199,12 @@ def test_recurrent_cells_peak_memory_per_edge():
     finally:
         tracemalloc.stop()
     assert comps
-    assert peak <= 14 * edges + 64 * grid.n_cells, peak / edges
+    assert peak <= 9 * edges + 64 * grid.n_cells, peak / edges
 
 
 def test_to_csr_peak_memory_per_edge():
-    # the int32 indices are laid out beside one int32 arange, which is freed
-    # before the float64 data: 12 B per edge at the peak, plus O(ranges);
+    # the int32 indices are laid out beside one int32 arange, and the data
+    # is one broadcast value: 8 B per edge at the peak, plus O(ranges);
     # scipy.sparse is imported above, so its import is not traced
     sys = logistic(3.7)
     grid = Grid(sys.domain, 1 << 16)
@@ -216,7 +217,7 @@ def test_to_csr_peak_memory_per_edge():
     finally:
         tracemalloc.stop()
     assert csr.nnz == edges
-    assert peak <= 12 * edges + 64 * ranges, peak / edges
+    assert peak <= 9 * edges + 64 * ranges, peak / edges
 
 
 def _peak_while_raising(fn):
@@ -238,7 +239,7 @@ def test_patched_edge_cap_stops_1d_before_allocation(monkeypatch):
     for fn in (g.to_csr, lambda: recurrent_cells(g)):
         peak, msg = _peak_while_raising(fn)
         assert peak < edges, peak
-        assert f"{edges} edges" in msg and f"{12 * edges} bytes" in msg
+        assert f"{edges} edges" in msg and f"{8 * edges} bytes" in msg
         assert f"MAX_EXPLICIT_EDGES={edges - 1}" in msg
 
 

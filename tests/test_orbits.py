@@ -672,3 +672,167 @@ def test_every_certificate_replays(name, x, cells):
     except InconclusiveError:
         return   # no certificate to replay
     assert replay_certificate(sys, cert, x, grid), cert.verdict
+
+
+# --------------------------------------------------------------------------
+# the revisit check against all pairs
+# --------------------------------------------------------------------------
+
+def brute_revisits(dom, tol, start, chunks, n_lanes):
+    """Per chunk (lane, step, pts, alive), the least step per lane whose
+    point lies within tol of an earlier one of its lane, over every pair;
+    afterwards the chunk's points of the lanes flagged alive are held."""
+    held = list(zip(*start))
+    out = []
+    for lane, step, pts, alive in chunks:
+        best = np.full(n_lanes, orbits._NEVER)
+        with np.errstate(all="ignore"):
+            for i in range(lane.size):
+                earlier = [p for b, p in held if b == lane[i]] + [
+                    pts[j] for j in range(lane.size)
+                    if lane[j] == lane[i] and step[j] < step[i]]
+                if tol > 0 and any(dom.distances(pts[i], p) <= tol for p in earlier):
+                    best[lane[i]] = min(best[lane[i]], step[i])
+        out.append(best)
+        held += [(b, p) for b, p in zip(lane, pts) if alive[b]]
+    return out
+
+
+def engine_revisits(dom, tol, start, chunks, n_lanes):
+    held = orbits._Visited(dom, tol)
+    held.first_revisit(start[0], np.zeros_like(start[0]), start[1], n_lanes)
+    held.keep(np.ones(n_lanes, bool))
+    out = []
+    with np.errstate(all="ignore"):
+        for lane, step, pts, alive in chunks:
+            out.append(held.first_revisit(lane, step, pts, n_lanes))
+            held.keep(alive)
+    return out
+
+
+def chunked(lanes, values, n_lanes, seed, d=1):
+    """Chunks of ``values`` over ``lanes``: each lane's points in step
+    order, steps counting on across chunks, a random subset of lanes alive
+    after each chunk."""
+    rng = np.random.default_rng(seed)
+    values = np.asarray(values, float).reshape(len(values), d)
+    lanes = np.asarray(lanes)
+    chunks, t = [], 0
+    for part in np.array_split(np.arange(len(values)), max(1, len(values) // 7)):
+        lane = lanes[part]
+        step = np.array([t + 1 + np.count_nonzero(lane[:k] == lane[k]) for k in range(lane.size)])
+        alive = rng.random(n_lanes) < 0.8
+        chunks.append((lane, step, values[part], alive))
+        t = int(step.max(initial=t))
+    start = (np.arange(n_lanes), np.repeat(0.5 * (np.arange(n_lanes) % 2), d).reshape(-1, d))
+    return start, chunks
+
+
+DOMS = {"box": Domain.box([[0, 1]]), "circle": CIRCLE, "wide": Domain.box([[-1e6, 1e6]]),
+        "square": SQUARE}
+
+
+def _values(draw, dom, tol, count):
+    """Points near a few anchors, at offsets of tol and of one ulp, so that
+    pairs fall at, just inside and just outside tol, across bucket edges."""
+    lo, hi = dom.bounds[0]
+    edges = [lo + k / orbits._Visited(dom, tol).scale for k in (1, 2, 12345)]
+    anchors = [lo, hi, 0.0, 0.5 * (lo + hi), lo + 0.3 * (hi - lo), 1.0 - 2 ** -53,
+               *edges, *(np.nextafter(e, -np.inf) for e in edges)]
+    steps = [0.0, tol, -tol, 2 * tol, tol * (1 + 2 ** -52), 5e-324, -5e-324, 1e-13]
+    out = []
+    for _ in range(count):
+        v = [draw(st.sampled_from(anchors)) + draw(st.sampled_from(steps))
+             for _ in range(dom.ndim)]
+        if draw(st.integers(0, 9)) == 0:
+            v[0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        for _ in range(draw(st.integers(0, 3))):   # a few ulps away
+            v[0] = np.nextafter(v[0], np.inf)
+        v = np.array(v)
+        out.append(dom.wrap(v) if dom.kind == "circle" and np.isfinite(v).all() else v)
+    return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(DOMS)),
+       tol=st.sampled_from([1e-12, 0.0, 0.25, 1e-3, 2.0, 1e-300, 3.0e6]),
+       n_lanes=st.sampled_from([1, 3, 300]), seed=st.integers(0, 99))
+def test_revisit_check_matches_all_pairs(data, name, tol, n_lanes, seed):
+    """The revisit check over a sequence of chunks equals the check of every
+    pair: distances exactly equal to tol, pairs one ulp apart on either side
+    of a bucket edge, the wrap on the circle, points that share their first
+    coordinate, NaN and inf, tol 0, at least the domain's width and 1e-300,
+    and box bounds of +-1e6."""
+    dom = DOMS[name]
+    count = data.draw(st.integers(1, 40))
+    values = _values(data.draw, dom, tol, count)
+    ends = sorted({0, 1, n_lanes - 2, n_lanes - 1} & set(range(n_lanes)))
+    lanes = data.draw(st.lists(st.sampled_from(ends), min_size=count, max_size=count))
+    start, chunks = chunked(lanes, values, n_lanes, seed, dom.ndim)
+    got = engine_revisits(dom, tol, start, chunks, n_lanes)
+    want = brute_revisits(dom, tol, start, chunks, n_lanes)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dom,pts,tol,want", [
+    # exactly tol apart, and one ulp more
+    (BOX, [0.25, 0.5], 0.25, 2), (BOX, [0.25, np.nextafter(0.5, 1)], 0.25, None),
+    # across the circle's 0: 1 - 2^-53 and 0.0
+    (CIRCLE, [0.0, 1.0 - 2 ** -53], 1e-12, 2), (CIRCLE, [1.0 - 2 ** -53, 0.0], 1e-12, 2),
+    (CIRCLE, [0.5, 0.0, 1.0 - 2 ** -53], 1e-12, 3), (CIRCLE, [0.5, 1.0 - 2 ** -53, 0.0], 1e-12, 3),
+    (CIRCLE, [0.75, 0.0], 0.25, 2), (CIRCLE, [0.2, 0.7000000000000001], 0.5, 2),
+    # the same first coordinate, far apart, and close
+    (SQUARE, [[0.5, 0.1], [0.5, 0.9]], 1e-12, None),
+    (SQUARE, [[0.5, 0.1], [0.5, 0.1 + 1e-13]], 1e-12, 2),
+    (SQUARE, [[0.9, 0.9], [0.5, 0.1], [0.5, 0.9], [0.5, 0.1]], 1e-12, 4),
+    # never within tol: NaN and inf, also of themselves
+    (BOX, [np.nan, np.nan], 1.0, None), (BOX, [np.inf, np.inf], 1e300, None),
+    (BOX, [-np.inf, 0.5, -np.inf, 0.7], 1e300, 4),
+    # tol 0 (or NaN) is off; a huge tol holds everything; 1e-300 holds equal points
+    (BOX, [0.5, 0.5], 0.0, None), (BOX, [0.5, 0.5], np.nan, None), (BOX, [0.0, 1.0], 1.0, 2),
+    (CIRCLE, [0.1, 0.6], np.inf, 2),
+    (BOX, [0.5, np.nextafter(0.5, 1), 0.5], 1e-300, 3),
+    # squares of gaps below 2^-511 underflow: the distance reads 0
+    (BOX, [0.0, 1e-170], 1e-300, 2),
+    (Domain.box([[-1e6, 1e6]]), [-1e6, 1e6, np.nextafter(-1e6, 0)], 1e-12, None),
+    (Domain.box([[-1e6, 1e6]]), [-1e6, 1e6, np.nextafter(-1e6, 0)], 2.4e-10, 3),
+])
+def test_revisit_check_cases(dom, pts, tol, want):
+    """One lane: its start, then the points at steps 1, 2, ... in one chunk
+    and, again, one point per chunk."""
+    pts = np.array(pts, float).reshape(len(pts), dom.ndim)
+    want = orbits._NEVER if want is None else want - 1
+    start = (np.array([0]), pts[:1])
+    one = [(np.zeros(len(pts) - 1, int), np.arange(1, len(pts)), pts[1:], np.ones(1, bool))]
+    apart = [(np.array([0]), np.array([s]), pts[s:s + 1], np.ones(1, bool))
+             for s in range(1, len(pts))]
+    for chunks in (one, apart):
+        got = min(b[0] for b in engine_revisits(dom, tol, start, chunks, 1))
+        assert got == want
+        assert got == min(b[0] for b in brute_revisits(dom, tol, start, chunks, 1))
+
+
+@pytest.mark.parametrize("start", [0.3, 0.7])
+def test_a_parked_lane_costs_its_points(start):
+    """A lane parked on one point for a whole 5,000-step chunk, beside two
+    moving lanes: the check decides O(points) pairs, not O(points^2)."""
+    n, dom = 5000, BOX
+    lane = np.tile([0, 1, 2], n)
+    step = np.repeat(np.arange(1, n + 1), 3)
+    pts = np.stack([np.full(n, 0.3), np.linspace(0.0, 0.4, n),
+                    (np.arange(n) * GOLDEN) % 1.0], axis=1).reshape(-1, 1)
+    held = orbits._Visited(dom, 1e-12)
+    held.first_revisit(np.arange(3), np.zeros(3, int), np.array([[start], [0.9], [0.95]]), 3)
+    held.keep(np.ones(3, bool))
+    decided = []
+    real = held._decide
+
+    def counted(best, lanes, at, p, r):
+        decided.append(lanes.size)
+        return real(best, lanes, at, p, r)
+
+    held._decide = counted
+    best = held.first_revisit(lane, step, pts, 3)
+    assert best.tolist() == [1 if start == 0.3 else 2, orbits._NEVER, orbits._NEVER]
+    assert sum(decided) <= 4 * pts.shape[0]

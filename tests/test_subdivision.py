@@ -20,6 +20,7 @@ from chainscope.geometry import CellSet, Domain, Grid, fatten
 from chainscope.minimal import _coarsen_indices
 from chainscope.reachability import chain_reach
 from chainscope.systems import (
+    System,
     _cell_images,
     affine2d,
     constant,
@@ -30,6 +31,7 @@ from chainscope.systems import (
     square,
 )
 from chainscope.transition import (
+    TransitionGraph,
     build_graph,
     extract_path,
     forward_reach,
@@ -238,6 +240,49 @@ def test_extract_path_matches_the_preimage_backtrack(case, seed, candidates):
         assert path == oracle_path(g, depths, end)
         assert path[0] in start and path[-1] == end
         assert all(b in g.successors(a) for a, b in zip(path, path[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(n=st.integers(1, 14), controls=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+       candidates=st.booleans())
+def test_extract_path_matches_brute_force_on_random_graphs(n, controls, seed, candidates):
+    """Random range graphs, wrapping on the circle: the depths are those of
+    a breadth-first search over the adjacency, and every reached cell's
+    path steps, level by level, to the smallest candidate index one level
+    up with an edge into it."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(Domain.circle(), n)
+    sys = System("random", grid.domain, {}, tuple(range(controls)) if controls > 1
+                 else (None,), 1.0, lambda pts, u: pts)
+    cells = np.flatnonzero(rng.random(n) < 0.7) if candidates else None
+    m = n if cells is None else cells.size
+    if not m:
+        return
+    start = rng.integers(0, m + 1, (controls, m))
+    length = rng.integers(0, m + 1, (controls, m)) * (rng.random((controls, m)) < 0.5)
+    g = TransitionGraph(sys, grid, 0.1, start, length, cells)
+    adj = [[any((j - start[r, i]) % m < length[r, i] for r in range(controls))
+            for j in range(m)] for i in range(m)]
+    source = int(rng.integers(m))
+    depth, frontier = {source: 0}, [source]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in range(m):
+                if adj[i][j] and j not in depth:
+                    depth[j] = depth[i] + 1
+                    nxt.append(j)
+        frontier = nxt
+    label = g.cells
+    reach, depths = forward_reach_depths(g, CellSet.from_indices(grid, [label[source]]))
+    assert {int(label[i]): k for i, k in depth.items()} == {
+        int(c): int(depths[c]) for c in reach.indices()}
+    for end in depth:
+        path = [end]
+        while depth[path[-1]]:
+            cur = path[-1]
+            path.append(min(i for i in depth if depth[i] == depth[cur] - 1 and adj[i][cur]))
+        assert extract_path(g, depths, int(label[end])) == [int(label[i]) for i in path[::-1]]
 
 
 # --------------------------------------------------------------------------
