@@ -92,12 +92,9 @@ class Domain:
         ``% 1.0`` rounds a tiny negative coordinate up to 1.0; the second
         ``%`` takes 1.0 to 0.0 and leaves every other result as it is.
         Given ``out``, the result is written there."""
-        if out is None:
-            return points % 1.0 % 1.0 if self.kind == "circle" else points
         if self.kind == "circle":
             return np.remainder(np.remainder(points, 1.0, out), 1.0, out)
-        np.copyto(out, points)
-        return out
+        return points if out is None else np.copyto(out, points) or out
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Into the domain: wrapped on the circle, clipped on a box."""
@@ -219,8 +216,7 @@ class Grid:
 
     def cells_of(self, points: np.ndarray) -> np.ndarray:
         """Vectorized cell_of for an (m, d) array of in-domain points."""
-        pts = np.asarray(points, dtype=float)   # canonical points skip the wrap
-        pts = pts if not self.wrap or ((pts >= 0) & (pts < 1)).all() else self.domain.wrap(pts)
+        pts = self.domain.wrap(np.asarray(points, dtype=float))
         axes = [
             _axis_index(pts[:, d], self.domain.bounds[d, 0], self.spacing[d],
                         self.cells_per_dim[d], self.wrap)

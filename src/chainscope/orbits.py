@@ -206,10 +206,9 @@ class _Visited:
     """The kept points of a block's live lanes, for the revisit check (off
     when tol <= 0).  A key is lane * stride + bucket, the bucket being the
     first coordinate's offset from the lower bound over w >= 2 tol (and over
-    2^-500, where squares underflow): points less than w apart have keys at
-    most 1 apart, and only such pairs are decided, exactly as
-    ``Domain.distances <= tol``.  Held points are runs sorted by key, merged
-    in twos (Bentley & Saxe); see the README.
+    2^-500, where squares underflow), so points less than w apart have keys
+    at most 1 apart.  Held points are runs sorted by key, then by first
+    coordinate, merged in twos (Bentley & Saxe); see the README.
     """
 
     def __init__(self, dom: Domain, tol: float):
@@ -222,24 +221,20 @@ class _Visited:
         self.stride = self.top + 3
         self.runs, self.chunk = [], None   # runs of (sorted keys, points); the last chunk
 
-    def _key(self, lane: np.ndarray, x: np.ndarray) -> np.ndarray:
-        b = np.floor((x - self.lo) * self.scale)
-        b = np.fmax(np.fmin(b, self.top), 0.0)   # NaN: the top
-        return lane * self.stride + (b.astype(np.int64) + 1)
-
     def keep(self, alive: np.ndarray):
         """Hold the points of the last ``first_revisit`` call whose lanes are
         flagged in ``alive``."""
-        if self.chunk is None:
-            return
-        keys, lane, pts = self.chunk
-        on, runs = alive[lane], self.runs
-        runs.append((keys, pts) if on.all() else (keys[on], pts[on]))
+        runs = self.runs
+        if self.chunk is not None:
+            keys, q, lq, pts = self.chunk
+            on = alive[lq]
+            if on.any():   # a run is never empty
+                runs.append((keys[on], pts[q[on]]))
         while len(runs) > 1 and runs[-2][0].size <= 2 * runs[-1][0].size:
             (k1, p1), (k0, p0) = runs.pop(), runs.pop()
-            keys = np.concatenate([k0, k1])
-            order = np.argsort(keys, kind="stable")   # merges the two runs
-            runs.append((keys[order], np.concatenate([p0, p1])[order]))
+            pts = np.concatenate([p0, p1])
+            order, keys = _order(np.concatenate([k0, k1]), pts[:, 0], "stable")
+            runs.append((keys, pts[order]))
 
     def first_revisit(self, lane, step, pts, n_lanes: int) -> np.ndarray:
         """Per lane (of n_lanes), the least step whose point lies within tol
@@ -247,58 +242,102 @@ class _Visited:
         ``pts`` (with their ``lane`` and ``step``) at a smaller step; _NEVER
         if none.  A point that is not finite is within tol of none.
 
-        In key order, each point meets the held points in its window, then
-        its 1st, 2nd, ... predecessor while in its window; pairs that lower
-        a lane's best drop the points at or past it and restart the scan.
+        Each point meets the held points of its window; then, in key order,
+        its 1st, 2nd, ... predecessor while the two are near.  Pairs that
+        lower a lane's best drop the points at or past it and restart the
+        scan.  On the circle the first bucket meets the last one turn up.
         """
         best = np.full(n_lanes, _NEVER)
         self.chunk = None
         if self.tol <= 0 or not lane.size:
             return best
-        keys = self._key(lane, pts[:, 0])
-        q = np.argsort(keys)
-        keys, lq = keys[q], lane[q]
-        self.chunk = keys, lq, pts[q]
-        asks = [(keys, q)]
-        if self.circle and self.top:   # the first bucket asks one turn up, the last down
-            bucket = keys - lq * self.stride - 1
-            up, down = np.flatnonzero(bucket == 0), np.flatnonzero(bucket == self.top)
-            asks += [(keys[up] + (self.top + 1), q[up]), (keys[down] - (self.top + 1), q[down])]
-            if up.size:   # in the chunk, each pair across 0 is met from the copy up
-                at = np.searchsorted(keys, asks[1][0], "right")
-                keys, q = np.insert(keys, at, asks[1][0]), np.insert(q, at, asks[1][1])
+        x = pts[:, 0]
+        b = np.fmax(np.fmin(np.floor((x - self.lo) * self.scale), self.top), 0.0)   # NaN: top
+        q, keys = _order(lane * self.stride + (b.astype(np.int64) + 1), x)
+        xs, lq = x[q], lane[q]
+        self.chunk = keys, q, lq, pts
+        asks = [(keys, xs, q, 0.0)]
+        if self.circle:   # the first bucket asks one turn up, the last one turn down
+            bucket = keys - lq * self.stride
+            up, down = np.flatnonzero(bucket == 1), np.flatnonzero(bucket == self.top + 1)
+            asks += [(keys[e] + turn * (self.top + 1), xs[e], q[e], float(turn))
+                     for e, turn in ((up, 1), (down, -1)) if e.size]
         found = False
-        for (held, held_pts), (ask, asked) in itertools.product(self.runs, asks):
-            lo = np.searchsorted(held, ask - 1)   # the first held key in each window
-            c = np.flatnonzero(held[np.minimum(lo, held.size - 1)] <= ask + 1)
-            if c.size:   # each asked point against each held one in its window
-                n = np.searchsorted(held, ask[c] + 1, "right") - lo[c]
-                i = np.repeat(asked[c], n)
-                j = np.repeat(lo[c] - (np.cumsum(n) - n), n) + np.arange(i.size)
-                found |= self._decide(best, lane[i], step[i], pts[i], held_pts[j])
+        for (held, held_pts), (ask, ax, asked, turn) in itertools.product(self.runs, asks):
+            a, j = self._window(held, held_pts[:, 0], ask, ax, turn)
+            found |= self._decide(best, lane[asked[a]], step[asked[a]], pts[asked[a]], held_pts[j])
+        all_keys, all_xs, all_q = keys, xs, q   # the whole chunk, for the circle below
         k = 1
         while True:
             if k == 1:
                 if found:   # only points before their lane's best step
                     on = step[q] < best[lane[q]]
-                    q, keys = q[on], keys[on]
+                    q, keys, xs = q[on], keys[on], xs[on]
                 pos = np.flatnonzero(keys[:-1] + 1 >= keys[1:]) + 1
             else:
                 pos = pos[pos >= k]
                 pos = pos[keys[pos - k] + 1 >= keys[pos]]
+            pos = pos[self._near(xs[pos] - xs[pos - k])]
             if not pos.size:
-                return best
+                break
             i, j = q[pos], q[pos - k]
-            pair = i != j   # a copy's window may hold its own point
-            i, j = i[pair], j[pair]
             found = self._decide(best, lane[i], np.maximum(step[i], step[j]), pts[i], pts[j])
             k = 1 if found else k + 1
+        if self.circle:   # in the chunk, the first bucket meets the last one turn up
+            up = up[step[all_q[up]] < best[lq[up]]]   # later points add only pairs past best
+            a, j = self._window(all_keys, all_xs, all_keys[up] + (self.top + 1), all_xs[up], 1.0)
+            i, j = all_q[up[a]], all_q[j]
+            i, j = i[i != j], j[i != j]
+            self._decide(best, lane[i], np.maximum(step[i], step[j]), pts[i], pts[j])
+        return best
+
+    def _near(self, gap: np.ndarray) -> np.ndarray:
+        """Whether a first-coordinate gap is within tol, as ``Domain.distances`` measures."""
+        return (np.abs(gap) if self.circle else np.sqrt(gap * gap)) <= self.tol
+
+    def _window(self, keys, x, ask, ax, turn):
+        """Pairs (a, j) of an asked point a (key ask[a], first coordinate
+        ax[a]) and a point j of the run (keys, x) with a key at most 1 away
+        and a gap x[j] - ax[a] - turn within tol.  Along a window the gap
+        grows, so bisection finds where the pairs start (the gap is not below
+        -tol) and end (it is above tol, or NaN), for all windows at once."""
+        lo = np.searchsorted(keys, ask - 1)   # the first key in each window, if any
+        c = np.flatnonzero(keys[np.minimum(lo, keys.size - 1)] <= ask + 1)
+        c = c[lo[c] < keys.size]
+        if not c.size:
+            return c, c
+        ax, hi = np.tile(ax[c], 2), np.tile(np.searchsorted(keys, ask[c] + 1, "right"), 2)
+        lo, end = np.tile(lo[c], 2), np.arange(2 * c.size) >= c.size
+        a = np.flatnonzero(lo < hi)
+        while a.size:
+            mid = (lo[a] + hi[a]) >> 1
+            g = x[mid] - ax[a] - turn
+            near = self._near(g)
+            past = np.where(end[a], ~(near | (g <= 0)), near | ~(g < 0))
+            hi[a[past]], lo[a[~past]] = mid[past], mid[~past] + 1
+            a = a[lo[a] < hi[a]]
+        lo, n = lo[:c.size], lo[c.size:] - lo[:c.size]
+        return np.repeat(c, n), np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
     def _decide(self, best, lane, at, p, r) -> bool:
         """Lower best[lane] to ``at`` where p is within tol of r; whether any was."""
+        if not lane.size:
+            return False
         close = self.dom.distances(p, r) <= self.tol
         np.minimum.at(best, lane[close], at[close])
         return close.any()
+
+
+def _order(keys: np.ndarray, x: np.ndarray, kind=None):
+    """The order of ``keys``, equal keys ordered by ``x`` (NaN last); the
+    keys in that order."""
+    order = np.argsort(keys, kind=kind)
+    keys = keys[order]
+    tie = np.zeros(keys.size + 1, bool)
+    np.equal(keys[1:], keys[:-1], out=tie[1:-1])
+    g = np.flatnonzero(tie[1:] | tie[:-1])   # the positions in a tie
+    order[g] = order[g][np.lexsort((x[order[g]], keys[g]))]
+    return order, keys
 
 
 def _first_step(flags: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -352,8 +391,7 @@ def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _L
             ys = trajectory(sys, pts, L, u, seq, t)
             steps = t + 1 + np.arange(L)[:, None]
             ok = dom.inside(ys)
-            inner = ys if ok.all() else np.where(ok[..., None], ys, dom.bounds[:, 0])
-            cells = grid.cells_of(inner.reshape(-1, d))
+            cells = grid.cells_of(np.where(ok[..., None], ys, dom.bounds[:, 0]).reshape(-1, d))
             keys = (ids * n + cells.reshape(L, m)).ravel()
             # the first of each key not yet seen; in a stall phase there is none
             unseen = np.flatnonzero(ok.ravel() & ~_member(seen, keys))
@@ -370,7 +408,6 @@ def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _L
             ])
             # a revisit wins a tie, and one after a lane's other stop is moot
             on = (steps <= events[1:].min(axis=0)).ravel()
-            on = slice(None) if on.all() else on   # then ys is read in place
             events[REVISIT] = held.first_revisit(np.tile(ids, L)[on], np.repeat(steps, m)[on],
                                                  ys.reshape(-1, d)[on], len(starts))[ids]
         reason, at = events.argmin(axis=0), events.min(axis=0)

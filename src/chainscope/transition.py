@@ -296,8 +296,8 @@ def extract_path(g: TransitionGraph, depths: np.ndarray, end_cell: int):
     Returns cells from a depth-0 cell to ``end_cell``; each consecutive pair
     is a graph edge.  Predecessors are chosen deterministically (smallest
     index at the previous depth): only the cells at that depth are tested
-    for an edge into the current cell.  One stable sort by depth (radix, in
-    16 bits) makes each depth a slice in index order.
+    for an edge into the current cell.  One stable sort by depth makes each
+    depth a slice in index order.
     """
     path = [int(end_cell)]
     d = int(depths[end_cell])
@@ -305,7 +305,7 @@ def extract_path(g: TransitionGraph, depths: np.ndarray, end_cell: int):
         raise ValueError("end cell was not reached")
     if d:
         local = np.minimum(depths[g.cells], d)   # the deeper cells are never read
-        order = np.argsort(local.astype(np.int16) if d < 2 ** 15 else local, kind="stable")
+        order = np.argsort(local, kind="stable")
         first = np.searchsorted(local[order], np.arange(d + 1))
         cur = g._label(int(end_cell))
         for level in range(d, 0, -1):

@@ -17,7 +17,8 @@ To rewrite the manifest, run from the repository root
 It prints the entries that moved. A change that moves report bytes
 regenerates the manifest and names the moved entries in CHANGES.md.
 With ``--check`` it prints the moved entries and exits 1 if any moved,
-leaving the manifest as it is.
+leaving the manifest as it is. Any other argument exits 2 with a usage
+line and runs nothing.
 """
 from __future__ import annotations
 
@@ -250,4 +251,7 @@ def main_regenerate(check: bool = False) -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        print("usage: python tests/report_corpus.py [--check]", file=sys.stderr)
+        sys.exit(2)
     sys.exit(main_regenerate(check=sys.argv[1:] == ["--check"]))

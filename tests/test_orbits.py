@@ -836,3 +836,48 @@ def test_a_parked_lane_costs_its_points(start):
     best = held.first_revisit(lane, step, pts, 3)
     assert best.tolist() == [1 if start == 0.3 else 2, orbits._NEVER, orbits._NEVER]
     assert sum(decided) <= 4 * pts.shape[0]
+
+
+@pytest.mark.parametrize("dom,centre,sign", [(BOX, 0.5, 1.0), (CIRCLE, 0.0, -1.0)])
+def test_a_slowly_converging_lane_costs_its_points(dom, centre, sign):
+    """tol 1e-300 (as ``reach``'s ``tol`` key allows) leaves buckets of the
+    domain's width over 2^40, far wider than tol.  A lane converging at rate
+    0.999 has 6,000 distinct points, pairwise farther apart than tol; its
+    last 1,556 lie within three buckets, in a chunk and among the
+    held points of 12 chunks.  The check decides O(points) pairs, not
+    O(points^2).  On the circle the lane alternates around 0, across the
+    wrap."""
+    n, per = 6000, 500
+    off = 2.0 ** -32 * (sign * 0.999) ** np.arange(n + 1)
+    x = dom.wrap(centre + off).reshape(-1, 1)
+    assert np.unique(x).size == n + 1
+    held = orbits._Visited(dom, 1e-300)
+    held.first_revisit(np.array([0]), np.array([0]), x[:1], 1)
+    held.keep(np.ones(1, bool))
+    decided = []
+    real = held._decide
+
+    def counted(best, lanes, at, p, r):
+        decided.append(lanes.size)
+        return real(best, lanes, at, p, r)
+
+    held._decide = counted
+    for t in range(1, n + 1, per):
+        steps = np.arange(t, t + per)
+        best = held.first_revisit(np.zeros(per, int), steps, x[steps], 1)
+        assert best[0] == orbits._NEVER
+        held.keep(np.ones(1, bool))
+    assert sum(decided) <= 2 * n
+
+
+def test_revisit_check_after_a_chunk_with_no_lane_alive():
+    """A chunk after which no lane is alive holds nothing; a later chunk
+    (here asking lane 0 again) meets only the points held before it."""
+    start = (np.array([0, 1]), np.array([[0.1], [0.2]]))
+    chunks = [(np.array([0, 0]), np.array([1, 2]), np.array([[0.3], [0.4]]), np.zeros(2, bool)),
+              (np.array([0, 1, 1]), np.array([3, 1, 2]), np.array([[0.3], [0.7], [0.2]]),
+               np.ones(2, bool))]
+    got = engine_revisits(BOX, 1e-12, start, chunks, 2)
+    assert [g.tolist() for g in got] == [[orbits._NEVER] * 2, [orbits._NEVER, 2]]
+    want = brute_revisits(BOX, 1e-12, start, chunks, 2)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
