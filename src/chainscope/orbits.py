@@ -6,8 +6,8 @@ checks vectorized over each chunk; ``run_trees`` does the same for the
 breadth-first control trees of multivalued systems.  Steps are written in
 place into the chunk's buffer, and the revisit check (``_Visited``) costs
 the chunk's own points, not the held ones.  Lanes run in lazily yielded
-blocks whose size follows the orbits' length, so memory stays bounded and a
-reader that stops early skips the rest.  Results equal those
+blocks of at most _BLOCK_POINTS kept points (or one lane), so memory stays
+bounded and a reader that stops early skips the rest.  Results equal those
 of a one-point-per-step loop bit for bit.  Given a target cell mask, a lane
 also stops at its first kept cell in the target, so a reader that needs
 only whether an orbit comes near a set runs no step past the answer.
@@ -44,11 +44,9 @@ class ReachResult:
 # why a lane of the orbit engine stopped; on a tie the smaller code wins
 REVISIT, OUTSIDE, HIT, STALL, BUDGET = range(5)
 _NEVER = np.iinfo(np.int64).max
-# lanes run in blocks that start at _FIRST_BLOCK lanes and double, up to
-# _LANE_BLOCK lanes and as long as a block keeps about _BLOCK_POINTS points at most
+# lanes in the first block; a block of more than one lane keeps <= _BLOCK_POINTS points
 _FIRST_BLOCK = 8
-_LANE_BLOCK = 256
-_BLOCK_POINTS = 1 << 16
+_BLOCK_POINTS = 1 << 18
 # lane-steps per time chunk; chunks start at _FIRST_CHUNK steps and double
 _CHUNK_LANE_STEPS = 1 << 14
 _FIRST_CHUNK = 8
@@ -80,12 +78,11 @@ def _blocks(run_block, starts):
     """``run_block`` on consecutive blocks of the rows of ``starts``, lazily.
 
     The first block takes the first _FIRST_BLOCK rows (all, if fewer), so a
-    few orbits read together share one block; it keeps at most _FIRST_BLOCK
-    lanes times the step budget of points.  Later blocks double, up to
-    _LANE_BLOCK lanes and as long as the last block's kept points per lane,
-    times the lanes, stay within _BLOCK_POINTS: memory follows the length of
-    the orbits.  A reader that stops early has run the first block, or fewer
-    than three times the lanes it read.
+    few orbits read together share one block; each later block, as many as
+    the last block's kept points per lane fit in _BLOCK_POINTS.  A block sheds
+    its lanes past that bound (``_Lanes.shed``), and the next block starts at
+    the first lane shed.  A reader that stops early runs at most one block
+    past the lanes it read, which keeps at most _BLOCK_POINTS points or one lane.
     """
     b0, size = 0, _FIRST_BLOCK
     while b0 < len(starts):
@@ -93,8 +90,7 @@ def _blocks(run_block, starts):
         lanes.b0 = b0
         yield lanes
         b0 += lanes.n_lanes
-        per_lane = -(-sum(len(a) for a, _ in lanes.kept) // lanes.n_lanes)
-        size = max(1, min(2 * size, _LANE_BLOCK, _BLOCK_POINTS // max(per_lane, 1)))
+        size = max(1, _BLOCK_POINTS * lanes.n_lanes // max(sum(len(a) for a, _ in lanes.kept), 1))
 
 
 class _Lanes:
@@ -139,6 +135,19 @@ class _Lanes:
             self.reason[ids[hit]] = HIT
             ids, pts = ids[~hit], pts[~hit]
         return ids, pts, seen
+
+    def shed(self, seen, ids, *along):
+        """Cut a block that keeps more than _BLOCK_POINTS points to its longest prefix of
+        lanes that fits, or its first lane; returns ``seen``, ``ids`` and ``along``, cut."""
+        if self.n_lanes == 1 or sum(len(a) for a, _ in self.kept) <= _BLOCK_POINTS:
+            return (seen, ids) + along
+        count = np.bincount(np.concatenate([a for a, _ in self.kept]), minlength=self.n_lanes)
+        k = max(int(np.searchsorted(np.cumsum(count), _BLOCK_POINTS, "right")), 1)
+        self.stop, self.last_new, self.reason = self.stop[:k], self.last_new[:k], self.reason[:k]
+        self.outside = {b: p for b, p in self.outside.items() if b < k}
+        self.kept = [(a[a < k], p[a < k]) for a, p in self.kept]
+        j, s = np.searchsorted(ids, k), np.searchsorted(seen, k * self.grid.n_cells)
+        return (seen[:s].copy(), ids[:j]) + tuple(v[:j] for v in along)
 
     def check(self, lane: int):
         """Raise the DomainError of a lane whose orbit left the domain."""
@@ -220,6 +229,11 @@ class _Visited:
         self.scale, self.top = (float(n), n - 1) if self.circle else (1.0 / w, int(width / w) + 1)
         self.stride = self.top + 3
         self.runs, self.chunk = [], None   # runs of (sorted keys, points); the last chunk
+
+    def cut(self, n_lanes: int):
+        """Drop the held points of the lanes from ``n_lanes`` on."""
+        at = [(k, p, np.searchsorted(k, n_lanes * self.stride)) for k, p in self.runs]
+        self.runs = [(k, p) if i == k.size else (k[:i].copy(), p[:i].copy()) for k, p, i in at if i]
 
     def keep(self, alive: np.ndarray):
         """Hold the points of the last ``first_revisit`` call whose lanes are
@@ -349,7 +363,7 @@ def _first_step(flags: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def run(sys, starts, grid, max_steps, tol, stall, u=None, seq=None, target=None):
     """The orbit engine: the trajectories from ``starts`` (B, d), in the
     domain's canonical form, advanced together as lanes; yields one
-    ``_Lanes`` per block of lanes (see ``_blocks``).
+    ``_Lanes`` per block: _BLOCK_POINTS kept points at most, or one lane (``_blocks``).
 
     Step t applies seq[t - 1] if given, else u.  Lane b keeps its points and
     their cells until, checked in this order at each step,
@@ -409,7 +423,7 @@ def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _L
             # a revisit wins a tie, and one after a lane's other stop is moot
             on = (steps <= events[1:].min(axis=0)).ravel()
             events[REVISIT] = held.first_revisit(np.tile(ids, L)[on], np.repeat(steps, m)[on],
-                                                 ys.reshape(-1, d)[on], len(starts))[ids]
+                                                 ys.reshape(-1, d)[on], out.n_lanes)[ids]
         reason, at = events.argmin(axis=0), events.min(axis=0)
         done = at < _NEVER
         # a HIT or STALL point is kept, a REVISIT or OUTSIDE one is not
@@ -426,10 +440,11 @@ def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _L
         for a in fin[reason[fin] == OUTSIDE]:
             out.fail(ids[a], ys[at[a] - t - 1, a])
         live = ~done
-        alive = np.zeros(len(starts), bool)
+        alive = np.zeros(out.n_lanes, bool)
         alive[ids[live]] = True
         held.keep(alive)
-        ids, pts, last_new = ids[live], ys[-1][live], lane_ln[live]
+        seen, ids, pts, last_new = out.shed(seen, ids[live], ys[-1][live], lane_ln[live])
+        held.cut(out.n_lanes)
         t += L
     out.stop[ids], out.last_new[ids] = t, last_new   # the budget ran out
     out.keys = seen
@@ -465,12 +480,11 @@ def _tree_block(sys, starts, grid, max_sweeps, target) -> _Lanes:
         ys = np.stack([sys.image_points(pts, u) for u in sys.controls], axis=1).reshape(-1, d)
         ly = np.repeat(lane, len(sys.controls))
         ok = dom.inside(ys)
-        if not ok.all():
-            bad, at = np.unique(ly[~ok], return_index=True)
-            for b, i in zip(bad, np.flatnonzero(~ok)[at]):
-                out.fail(b, ys[i])
-            on = ~np.isin(ly, bad)
-            ys, ly = ys[on], ly[on]
+        bad, at = np.unique(ly[~ok], return_index=True)
+        for b, i in zip(bad, np.flatnonzero(~ok)[at]):
+            out.fail(b, ys[i])
+        on = ~np.isin(ly, bad)
+        ys, ly = ys[on], ly[on]
         cells = grid.cells_of(ys)
         keys = ly * n + cells
         first = np.unique(keys, return_index=True)[1]
@@ -483,6 +497,7 @@ def _tree_block(sys, starts, grid, max_sweeps, target) -> _Lanes:
             out.reason[hit] = HIT
             on = ~np.isin(lane, hit)
             lane, pts = lane[on], pts[on]
+        seen, lane, pts = out.shed(seen, lane, pts)
     out.keys, out.steps_used = seen, out.stop
     out.converged = out.reason != OUTSIDE
     out.converged[lane] = False

@@ -5,12 +5,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainscope
+from chainscope import orbits
 from chainscope.cli import (
     canonical_dumps,
     format_float,
@@ -432,6 +434,31 @@ def test_reports_byte_identical_across_reruns(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_basin_does_not_depend_on_the_block_budget(levels):
+    """x -> x^2 at 64 cells: at a budget of 64 kept points the weak basin's
+    blocks shed lanes and rerun them, and the outcome and the sidecar bytes
+    are those of the default run.  (logistic(3.7) at 64 cells would run no
+    basin orbit: its one component is the whole grid.)"""
+    cfg = {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+           "eps0": 0.1, "levels": levels}
+    default = run("basin", cfg)
+    shed, real = [0], orbits._Lanes.shed
+
+    def counted(self, *args):
+        n = self.n_lanes
+        cut = real(self, *args)
+        shed[0] += n - self.n_lanes
+        return cut
+
+    with mock.patch.object(orbits._Lanes, "shed", counted), \
+            mock.patch.object(orbits, "_BLOCK_POINTS", 64):
+        small = run("basin", cfg)
+    assert shed[0] > 0
+    assert small[:2] == default[:2]
+    assert small[3]["basin_cells.csv"] == default[3]["basin_cells.csv"]
 
 
 def _child(tmp_path, *args, **env_vars):

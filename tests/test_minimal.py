@@ -676,7 +676,7 @@ def test_golden_dichotomy_map_calls():
 def test_square_basin_map_calls():
     """The benchmark's basin config (square, 512 cells, eps0 0.01, levels 1),
     as ``basin`` runs it: the census, then the weak basin of component 0,
-    in 1,936 map calls."""
+    in 1,776 map calls."""
     base = square()
     calls = [0]
 
@@ -688,7 +688,7 @@ def test_square_basin_map_calls():
     census = minimal_sets(sys, 0.01, 1, base_grid=Grid(BOX, 512))
     basin = weak_basin(sys, census.components[0].cells, invariance_eps=census.eps_finest)
     assert 0 in basin.indices()
-    assert calls[0] <= 1_936
+    assert calls[0] <= 1_776
 
 
 def test_is_graph_invariant_examples():

@@ -8,6 +8,7 @@ oracles must agree exactly: cells, point bytes, step counts, flags and the
 step at which an orbit leaves the domain.
 """
 import warnings
+from contextlib import contextmanager
 from itertools import product
 from unittest import mock
 
@@ -355,12 +356,11 @@ SYSTEMS = {
 }
 
 
-# (_FIRST_BLOCK, _LANE_BLOCK, _BLOCK_POINTS, _CHUNK_LANE_STEPS): tiny blocks
-# and chunks, so that lanes cross block and chunk boundaries and blocks shrink
-# when their orbits are long, odd sizes, and the engine's own
-BLOCK_SIZES = [(8, 4, 40, 24), (1, 2, 10, 8), (3, 5, 100, 7), (16, 3, 1000, 100),
-               (orbits._FIRST_BLOCK, orbits._LANE_BLOCK, orbits._BLOCK_POINTS,
-                orbits._CHUNK_LANE_STEPS)]
+# (_FIRST_BLOCK, _BLOCK_POINTS, _CHUNK_LANE_STEPS): tiny blocks and chunks,
+# so that lanes cross block and chunk boundaries and blocks shed lanes when
+# their orbits are long, odd sizes, and the engine's own
+BLOCK_SIZES = [(8, 40, 24), (1, 10, 8), (3, 100, 7), (16, 1000, 100),
+               (orbits._FIRST_BLOCK, orbits._BLOCK_POINTS, orbits._CHUNK_LANE_STEPS)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -378,13 +378,18 @@ def test_each_lane_equals_its_single_run(name, unit, stall, max_steps, tol, size
     ``reaches`` call, at any position and for any block and chunk sizes.
     The census's mid orbits and the dichotomy samples' robustness orbits
     share one engine call on this."""
+    each_lane_equals_its_single_run(name, unit, stall, max_steps, tol, sizes)
+
+
+def each_lane_equals_its_single_run(name, unit, stall, max_steps, tol, sizes):
+    """The body of the test above; returns the lanes its blocks shed."""
     make, grid = SYSTEMS[name]
     sys = make()
     lo, hi = sys.domain.bounds[:, 0], sys.domain.bounds[:, 1]
     starts = np.array([sys.domain.canon(lo + np.array(u[:sys.domain.ndim]) * (hi - lo))
                        for u in unit])
-    with mock.patch.multiple(orbits, **dict(zip(
-            ("_FIRST_BLOCK", "_LANE_BLOCK", "_BLOCK_POINTS", "_CHUNK_LANE_STEPS"), sizes))):
+    with counting_sheds() as shed, mock.patch.multiple(orbits, **dict(zip(
+            ("_FIRST_BLOCK", "_BLOCK_POINTS", "_CHUNK_LANE_STEPS"), sizes))):
         batch = list(reaches(sys, starts, grid, max_steps, tol, stall))
     for x, res in zip(starts, batch, strict=True):
         kw = {"max_steps": max_steps, "tol": tol, "stall": stall}
@@ -392,20 +397,87 @@ def test_each_lane_equals_its_single_run(name, unit, stall, max_steps, tol, size
         assert_same(res, (single.cells.mask.reshape(-1), single.steps_used,
                           single.converged, single.points))
         assert_same(single, oracle_reach(sys, x, grid, **kw))
+    return shed[0]
 
 
-def test_blocks_run_lazily_double_and_shrink_for_long_orbits():
+@contextmanager
+def counting_sheds():
+    """Patch ``_Lanes.shed`` to count the lanes that blocks shed."""
+    shed, real = [0], orbits._Lanes.shed
+
+    def counted(self, *args):
+        n = self.n_lanes
+        cut = real(self, *args)
+        shed[0] += n - self.n_lanes
+        return cut
+
+    with mock.patch.object(orbits._Lanes, "shed", counted):
+        yield shed
+
+
+def test_tree_blocks_shed_and_each_lane_equals_its_single_run():
+    """At a budget of 40 kept points, two-control's control trees (up to 128
+    cells each) make ``_tree_block`` shed lanes; every lane still equals its
+    single run."""
+    unit = [(i / 11, (7 * i % 11) / 11) for i in range(12)]
+    assert each_lane_equals_its_single_run("two-control", unit, None, 5000, 1e-12,
+                                           (8, 40, 24)) > 0
+
+
+def test_blocks_run_lazily_take_what_fits_and_shed_long_orbits():
     starts = np.linspace(0.05, 0.95, 40)[:, None]
     blocks = reach_lanes(square(), starts, Grid(BOX, 64), 1000)
-    assert [next(blocks).n_lanes for _ in range(2)] == [8, 16]
-    assert [blk.b0 for blk in blocks] == [24]   # 32 lanes, cut to the 16 left
+    assert next(blocks).n_lanes == 8
+    assert [(blk.b0, blk.n_lanes) for blk in blocks] == [(8, 32)]   # all that is left
     # fewer starts than the first block share one block
     assert [blk.n_lanes for blk in reach_lanes(square(), starts[:3], Grid(BOX, 64), 1000)] == [3]
-    # golden-rotation orbits at 512 cells keep about 5000 points each
+    # golden-rotation orbits at 512 cells keep about 5000 points each: the
+    # first block sheds to what fits, and so does every later one
     with mock.patch.object(orbits, "_BLOCK_POINTS", 10_000):
-        sizes = [blk.n_lanes for blk in
-                 reach_lanes(rotation(GOLDEN), starts[:16], Grid(CIRCLE, 512), 100_000)]
-    assert sizes[0] == 8 and max(sizes[1:]) <= 2 and sum(sizes) == 16
+        blocks = list(reach_lanes(rotation(GOLDEN), starts[:16], Grid(CIRCLE, 512), 100_000))
+    sizes = [blk.n_lanes for blk in blocks]
+    assert max(sizes) <= 2 and sum(sizes) == 16
+    assert all(kept_points(blk) <= 10_000 for blk in blocks if blk.n_lanes > 1)
+
+
+def kept_points(lanes) -> int:
+    return sum(len(a) for a, _ in lanes.kept)
+
+
+def logistic_or_scaled():
+    """x -> 3.7 x (1 - x) on [0, 1] and x -> 1.5 x above 1, on [0, 2]: orbits
+    from [0, 1] stay in it, those from above 1 leave the domain."""
+    return System("logistic-or-scaled", Domain.box([[0.0, 2.0]]), {}, (None,), 3.7,
+                  lambda pts, u: np.where(pts <= 1, 3.7 * pts * (1 - pts), 1.5 * pts))
+
+
+def test_blocks_keep_at_most_the_point_budget():
+    """The first block's lanes hit the target at step 0, so the next block
+    takes every other start, and their orbits run long: the block sheds lanes
+    until it fits the budget, and a lane that left the domain before it was
+    shed raises the oracle's DomainError from its rerun."""
+    sys, grid = logistic_or_scaled(), Grid(Domain.box([[0.0, 2.0]]), 128)
+    starts = np.r_[np.linspace(0.001, 0.04, orbits._FIRST_BLOCK),
+                   np.linspace(0.3, 0.9, 24), 1.2][:, None]
+    target = np.zeros(grid.n_cells, bool)
+    target[:4] = True   # [0, 0.0625): the logistic attractor lies above 0.25
+    kw = {"max_steps": 600, "tol": 1e-12, "target": target}
+    with counting_sheds() as shed, mock.patch.object(orbits, "_BLOCK_POINTS", 1500):
+        blocks = list(reach_lanes(sys, starts, grid, **kw))
+    assert shed[0] > 0 and sum(blk.n_lanes for blk in blocks) == len(starts)
+    for blk in blocks:
+        assert kept_points(blk) <= 1500 + max(orbits._CHUNK_LANE_STEPS, blk.n_lanes)
+        assert all(b < blk.n_lanes for b in blk.outside)
+        for b in range(blk.n_lanes):
+            want = oracle_outcome(sys, starts[blk.b0 + b], grid, **kw)
+            if isinstance(want, str):
+                with pytest.raises(DomainError) as got:
+                    blk.reach(b)
+                assert str(got.value) == want
+            else:
+                assert_same(blk.reach(b), want)
+                assert blk.reason[b] == want[4]
+    assert blocks[-1].reason[-1] == orbits.OUTSIDE
 
 
 def counting(sys):
@@ -458,7 +530,7 @@ def test_lanes_with_staggered_stops_equal_the_oracle(name, unit, stall, max_step
     target = (None if density is None
               else np.random.default_rng(seed).random(grid.n_cells) < density)
     kw = {"max_steps": max_steps, "tol": tol, "stall": stall, "target": target}
-    with mock.patch.object(orbits, "_LANE_BLOCK", 8), \
+    with mock.patch.object(orbits, "_BLOCK_POINTS", 64), \
             mock.patch.object(orbits, "_CHUNK_LANE_STEPS", 64), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
