@@ -47,7 +47,7 @@ EXIT_VERIFY_FAIL = 3
 # and the lemma2 report (about 130 KB at the bound)
 MAX_INSTANCES = 1000
 
-GLOBAL_KEYS = {"system", "domain", "grid", "seed"}
+GLOBAL_KEYS = {"system", "grid", "seed"}
 # verify reads "property" and the keys of that property only
 VERIFY_KEYS = {
     "lemma2": {"n_max", "instances"},
@@ -245,27 +245,10 @@ def validate_config(command: str, cfg: dict) -> dict:
 
 def _build_system(cfg: dict):
     spec = cfg["system"]
-    params = dict(spec.get("parameters", {}))
-    if "domain" in cfg:
-        if spec["name"] != "affine2d":
-            raise ConfigError("'domain' override is only supported for affine2d")
-        params["bounds"] = _domain_bounds(cfg["domain"])
     try:
-        return make_system(spec["name"], params)
+        return make_system(spec["name"], spec.get("parameters", {}))
     except (TypeError, ValueError, ChainscopeError) as exc:
         raise ConfigError(f"cannot build system: {exc}") from exc
-
-
-def _domain_bounds(raw) -> list:
-    """The bounds of a 'domain' override: {"bounds": [[lo, hi], [lo, hi]]}."""
-    bounds = raw.get("bounds") if isinstance(raw, dict) and set(raw) == {"bounds"} else None
-    if (not isinstance(bounds, list) or len(bounds) != 2
-            or any(not isinstance(b, list) or len(b) != 2 for b in bounds)):
-        raise ConfigError(
-            "key 'domain' must be an object {\"bounds\": [[lo, hi], [lo, hi]]}")
-    if any(_number("domain", lo) >= _number("domain", hi) for lo, hi in bounds):
-        raise ConfigError("key 'domain' needs lo < hi in each bound")
-    return bounds
 
 
 def _build_grid(cfg: dict, system) -> Grid:
@@ -323,16 +306,7 @@ def run(command: str, cfg: dict):
     if command in SCC_COMMANDS:
         # imported before the analysis starts, so its time counts as start-up
         import scipy.sparse.csgraph  # noqa: F401
-    handler = {
-        "reach": _run_reach,
-        "chainreach": _run_chainreach,
-        "robust": _run_robust,
-        "minimal": _run_minimal,
-        "basin": _run_basin,
-        "dichotomy": _run_dichotomy,
-        "verify": _run_verify,
-    }[command]
-    return handler(cfg, system, grid)
+    return globals()[f"_run_{command}"](cfg, system, grid)
 
 
 def _run_reach(cfg, system, grid):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import CellSet, Grid, fatten, grid_for
-from .orbits import HIT, STALL, advance, reach_lanes, reaches, run, trajectory
+from .orbits import HIT, STALL, advance, reach_lanes, reaches, trajectory
 from .reachability import (
     RobustnessCertificate,
     _certify,
@@ -454,6 +454,8 @@ def weak_basin(
     meets it and would leave the domain later counts as a hit; an orbit
     read that leaves the domain before meeting it raises ``DomainError``.
     """
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     grid0 = a_set.grid
     inv = invariance_eps if invariance_eps is not None else grid0.resolution_floor
     if not is_graph_invariant(sys, a_set, inv):
@@ -535,7 +537,7 @@ def _omega_tails(sys, pts, grid, u, burn_in, window, max_steps):
     """The ``omega_limit`` of each orbit whose step burn_in is a row of
     ``pts``, in order: the tails run as the lanes of one engine call, read
     lazily."""
-    for lanes in run(sys, pts, grid, max_steps, 0.0, window, u=u):   # no revisit check
+    for lanes in reach_lanes(sys, pts, grid, max_steps, 0.0, window, u=u):   # no revisit check
         for b in range(lanes.n_lanes):
             yield OmegaResult(lanes.cellset(b), bool(lanes.reason[b] == STALL),
                               burn_in + int(lanes.stop[b]))

@@ -1,9 +1,9 @@
 """The orbit engine: sampled orbits advanced many at once.
 
-``run`` advances the orbits from many start points together, as the lanes of
-a (B, d) array in time chunks, with the revisit, domain, new-cell and stall
-checks vectorized over each chunk; ``run_trees`` does the same for the
-breadth-first control trees of multivalued systems.  Steps are written in
+``reach_lanes`` is the one way in: it runs the orbits (or, for multivalued
+systems, the breadth-first control trees) from many start points together,
+as the lanes of a (B, d) array in time chunks, with the revisit, domain,
+new-cell and stall checks vectorized over each chunk.  Steps are written in
 place into the chunk's buffer, and the revisit check (``_Visited``) costs
 the chunk's own points, not the held ones.  Lanes run in lazily yielded
 blocks of at most _BLOCK_POINTS kept points (or one lane), so memory stays
@@ -53,29 +53,14 @@ _FIRST_CHUNK = 8
 
 
 def reach_lanes(sys, starts, grid, max_steps, tol=1e-12, stall=None, seq=None,
-                target=None):
-    """``orbit_reach`` from every row of ``starts`` (points in the domain's
-    canonical form) as the lanes of the engine, one ``_Lanes`` per block:
-    control trees for multivalued systems under policy "all", trajectories
-    otherwise.  Given the flat cell mask ``target``, a lane stops at its
-    first kept cell in the target (reason HIT)."""
-    if seq is None and sys.multivalued:
-        return run_trees(sys, starts, grid, max_steps, target)
-    if stall is None:
-        stall = min(max(8 * max(grid.cells_per_dim), 256), 50_000)
-    return run(sys, starts, grid, max_steps, tol, stall, sys.controls[0], seq, target)
-
-
-def reaches(sys, starts, grid, max_steps, tol=1e-12, stall=None, seq=None):
-    """The ``ReachResult`` of each row of ``starts``, in order.  Blocks run as
-    they are read, so a reader that stops early skips the later ones."""
-    for lanes in reach_lanes(sys, starts, grid, max_steps, tol, stall, seq):
-        for b in range(lanes.n_lanes):
-            yield lanes.reach(b)
-
-
-def _blocks(run_block, starts):
-    """``run_block`` on consecutive blocks of the rows of ``starts``, lazily.
+                target=None, u=None):
+    """The orbit engine: ``orbit_reach`` from every row of ``starts`` (points
+    in the domain's canonical form) as its lanes; yields one ``_Lanes`` per
+    block, lazily.  Lanes are control trees (``_tree_block``) for multivalued
+    systems under policy "all", trajectories (``_orbit_block``) otherwise:
+    step t applies seq[t - 1] if given, else the pinned control ``u`` (the
+    system's first control if None).  Given the flat cell mask ``target``, a
+    lane stops at its first kept cell in the target (reason HIT).
 
     The first block takes the first _FIRST_BLOCK rows (all, if fewer), so a
     few orbits read together share one block; each later block, as many as
@@ -84,13 +69,27 @@ def _blocks(run_block, starts):
     the first lane shed.  A reader that stops early runs at most one block
     past the lanes it read, which keeps at most _BLOCK_POINTS points or one lane.
     """
+    trees = seq is None and u is None and sys.multivalued
+    u = sys.controls[0] if u is None else u
+    if stall is None:
+        stall = min(max(8 * max(grid.cells_per_dim), 256), 50_000)
     b0, size = 0, _FIRST_BLOCK
     while b0 < len(starts):
-        lanes = run_block(starts[b0:b0 + size])
+        block = starts[b0:b0 + size]
+        lanes = (_tree_block(sys, block, grid, max_steps, target) if trees else
+                 _orbit_block(sys, block, grid, max_steps, tol, stall, u, seq, target))
         lanes.b0 = b0
         yield lanes
         b0 += lanes.n_lanes
-        size = max(1, _BLOCK_POINTS * lanes.n_lanes // max(sum(len(a) for a, _ in lanes.kept), 1))
+        size = max(1, _BLOCK_POINTS * lanes.n_lanes // max(int(lanes.count.sum()), 1))
+
+
+def reaches(sys, starts, grid, max_steps, tol=1e-12, stall=None, seq=None):
+    """The ``ReachResult`` of each row of ``starts``, in order.  Blocks run as
+    they are read, so a reader that stops early skips the later ones."""
+    for lanes in reach_lanes(sys, starts, grid, max_steps, tol, stall, seq):
+        for b in range(lanes.n_lanes):
+            yield lanes.reach(b)
 
 
 class _Lanes:
@@ -103,9 +102,10 @@ class _Lanes:
         self.stop = np.zeros(n_lanes, np.int64)      # steps (sweeps) run
         self.last_new = np.zeros(n_lanes, np.int64)  # step of the last new cell
         self.reason = np.full(n_lanes, BUDGET)
+        self.count = np.zeros(n_lanes, np.int64)     # kept points
         self.steps_used = self.converged = None   # ReachResult fields, per lane
         self.outside: dict = {}   # lane -> its first point outside the domain
-        self.keys = np.empty(0, np.int64)   # sorted lane * n_cells + cell
+        self.keys = np.empty(0, np.int64)   # sorted lane * n_cells + cell of the kept cells
         self.kept: list = []      # (lanes, points) of the kept points, in step order
         self._by_lane = None
 
@@ -120,8 +120,7 @@ class _Lanes:
     def start(self, starts: np.ndarray, target):
         """Step 0 of the block: a start outside the domain fails its lane,
         the others are kept, and a start whose cell lies in the flat mask
-        ``target`` stops its lane (HIT).  Returns the live lanes, their
-        points and the sorted lane * n_cells + cell keys of the kept cells."""
+        ``target`` stops its lane (HIT).  Returns the live lanes and their points."""
         ids = np.arange(len(starts))
         ok = self.grid.domain.inside(starts)
         for b in ids[~ok]:
@@ -129,25 +128,28 @@ class _Lanes:
         ids, pts = ids[ok], starts[ok]
         cells = self.grid.cells_of(pts)
         self.kept.append((ids, pts))
-        seen = ids * self.grid.n_cells + cells   # sorted, as ids ascend
+        self.count[ids] = 1
+        self.keys = ids * self.grid.n_cells + cells   # sorted, as ids ascend
         if target is not None:
             hit = target[cells]
             self.reason[ids[hit]] = HIT
             ids, pts = ids[~hit], pts[~hit]
-        return ids, pts, seen
+        return ids, pts
 
-    def shed(self, seen, ids, *along):
-        """Cut a block that keeps more than _BLOCK_POINTS points to its longest prefix of
-        lanes that fits, or its first lane; returns ``seen``, ``ids`` and ``along``, cut."""
-        if self.n_lanes == 1 or sum(len(a) for a, _ in self.kept) <= _BLOCK_POINTS:
-            return (seen, ids) + along
-        count = np.bincount(np.concatenate([a for a, _ in self.kept]), minlength=self.n_lanes)
-        k = max(int(np.searchsorted(np.cumsum(count), _BLOCK_POINTS, "right")), 1)
-        self.stop, self.last_new, self.reason = self.stop[:k], self.last_new[:k], self.reason[:k]
+    def shed(self, ids, pts):
+        """Cut a block that keeps more than _BLOCK_POINTS points to its longest
+        prefix of lanes that fits, or its first lane; returns the live lanes
+        ``ids`` (sorted) and their points ``pts``, cut."""
+        if self.n_lanes == 1 or self.count.sum() <= _BLOCK_POINTS:
+            return ids, pts
+        k = max(int(np.searchsorted(np.cumsum(self.count), _BLOCK_POINTS, "right")), 1)
+        self.stop, self.last_new, self.reason, self.count = (
+            self.stop[:k], self.last_new[:k], self.reason[:k], self.count[:k])
         self.outside = {b: p for b, p in self.outside.items() if b < k}
         self.kept = [(a[a < k], p[a < k]) for a, p in self.kept]
-        j, s = np.searchsorted(ids, k), np.searchsorted(seen, k * self.grid.n_cells)
-        return (seen[:s].copy(), ids[:j]) + tuple(v[:j] for v in along)
+        self.keys = self.keys[:np.searchsorted(self.keys, k * self.grid.n_cells)].copy()
+        j = np.searchsorted(ids, k)
+        return ids[:j], pts[:j]
 
     def check(self, lane: int):
         """Raise the DomainError of a lane whose orbit left the domain."""
@@ -360,10 +362,9 @@ def _first_step(flags: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return np.where(flags[j, np.arange(flags.shape[1])], steps[j, 0], _NEVER)
 
 
-def run(sys, starts, grid, max_steps, tol, stall, u=None, seq=None, target=None):
-    """The orbit engine: the trajectories from ``starts`` (B, d), in the
-    domain's canonical form, advanced together as lanes; yields one
-    ``_Lanes`` per block: _BLOCK_POINTS kept points at most, or one lane (``_blocks``).
+def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _Lanes:
+    """The trajectories from ``starts`` (B, d), advanced together as the lanes
+    of one block.
 
     Step t applies seq[t - 1] if given, else u.  Lane b keeps its points and
     their cells until, checked in this order at each step,
@@ -381,23 +382,16 @@ def run(sys, starts, grid, max_steps, tol, stall, u=None, seq=None, target=None)
     chunk ends at the earliest such step of the block's live lanes; this
     cap leaves the doubling of later chunks as it was.
     """
-    return _blocks(lambda block: _orbit_block(sys, block, grid, max_steps, tol, stall,
-                                              u, seq, target), starts)
-
-
-def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _Lanes:
-    """Run the lanes of one block of ``run``."""
     n_max = max(min(len(seq), max_steps) if seq is not None else max_steps, 0)
     dom, n, d = grid.domain, grid.n_cells, grid.domain.ndim
     out = _Lanes(grid, len(starts))
-    ids, pts, seen = out.start(starts, target)
+    ids, pts = out.start(starts, target)
     held = _Visited(dom, tol)   # holds the starts, as the points of step 0
     held.first_revisit(ids, np.zeros_like(ids), pts, len(starts))
     held.keep(np.ones(len(starts), bool))
-    last_new = np.zeros(ids.size, np.int64)
     t, span = 0, _FIRST_CHUNK
     while ids.size and t < n_max:
-        m = ids.size
+        m, last_new = ids.size, out.last_new[ids]
         L = min(span, max(1, _CHUNK_LANE_STEPS // m), n_max - t)
         span = 2 * L
         L = max(1, min(L, int(last_new.min()) + stall - t))   # the stall bound
@@ -408,7 +402,7 @@ def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _L
             cells = grid.cells_of(np.where(ok[..., None], ys, dom.bounds[:, 0]).reshape(-1, d))
             keys = (ids * n + cells.reshape(L, m)).ravel()
             # the first of each key not yet seen; in a stall phase there is none
-            unseen = np.flatnonzero(ok.ravel() & ~_member(seen, keys))
+            unseen = np.flatnonzero(ok.ravel() & ~_member(out.keys, keys))
             new = np.zeros(keys.size, bool)
             new[unseen[np.unique(keys[unseen], return_index=True)[1]]] = True
             new = new.reshape(L, m)
@@ -430,33 +424,32 @@ def _orbit_block(sys, starts, grid, max_steps, tol, stall, u, seq, target) -> _L
         n_kept = np.minimum(np.where(reason >= HIT, at, at - 1), t + L) - t
         kept = np.arange(L)[:, None] < n_kept
         add = np.sort(keys[(new & kept).ravel()])
-        seen = np.insert(seen, np.searchsorted(seen, add), add)
-        lane_ln = np.where(n_kept > 0, ln[np.maximum(n_kept - 1, 0), np.arange(m)], last_new)
+        out.keys = np.insert(out.keys, np.searchsorted(out.keys, add), add)
+        out.last_new[ids] = np.where(n_kept > 0, ln[np.maximum(n_kept - 1, 0), np.arange(m)],
+                                     last_new)
         out.kept.append((np.broadcast_to(ids, (L, m))[kept], ys[kept]))
+        out.count[ids] += n_kept
         fin = np.flatnonzero(done)
         out.reason[ids[fin]] = reason[fin]
         out.stop[ids[fin]] = at[fin]
-        out.last_new[ids[fin]] = lane_ln[fin]
         for a in fin[reason[fin] == OUTSIDE]:
             out.fail(ids[a], ys[at[a] - t - 1, a])
         live = ~done
         alive = np.zeros(out.n_lanes, bool)
         alive[ids[live]] = True
         held.keep(alive)
-        seen, ids, pts, last_new = out.shed(seen, ids[live], ys[-1][live], lane_ln[live])
+        ids, pts = out.shed(ids[live], ys[-1][live])
         held.cut(out.n_lanes)
         t += L
-    out.stop[ids], out.last_new[ids] = t, last_new   # the budget ran out
-    out.keys = seen
+    out.stop[ids] = t   # the budget ran out
     out.steps_used = np.where(out.reason == STALL, out.last_new, out.stop)
     # a lane that ran all of seq converged
     out.converged = (out.reason != BUDGET) | (seq is not None and len(seq) <= max_steps)
     return out
 
 
-def run_trees(sys, starts, grid, max_sweeps, target=None):
-    """Breadth-first control trees from ``starts``, one lane each; yields one
-    ``_Lanes`` per block of lanes (see ``_blocks``).
+def _tree_block(sys, starts, grid, max_sweeps, target) -> _Lanes:
+    """Breadth-first control trees from ``starts``, one lane each, as one block.
 
     A sweep images every frontier point under every control (one
     image_points call per control for the block) and keeps, per lane, the
@@ -466,13 +459,9 @@ def run_trees(sys, starts, grid, max_sweeps, target=None):
     the flat cell mask ``target``, a lane stops (HIT) once it keeps a cell in
     the target: its start, or a cell a sweep kept.
     """
-    return _blocks(lambda block: _tree_block(sys, block, grid, max_sweeps, target), starts)
-
-
-def _tree_block(sys, starts, grid, max_sweeps, target) -> _Lanes:
     dom, n, d = grid.domain, grid.n_cells, grid.domain.ndim
     out = _Lanes(grid, len(starts))
-    lane, pts, seen = out.start(starts, target)
+    lane, pts = out.start(starts, target)
     for _ in range(max(max_sweeps, 0)):
         if not lane.size:
             break
@@ -488,17 +477,18 @@ def _tree_block(sys, starts, grid, max_sweeps, target) -> _Lanes:
         cells = grid.cells_of(ys)
         keys = ly * n + cells
         first = np.unique(keys, return_index=True)[1]
-        first = np.sort(first[~_member(seen, keys[first])])
-        seen = np.sort(np.concatenate([seen, keys[first]]))
+        first = np.sort(first[~_member(out.keys, keys[first])])
+        out.keys = np.sort(np.concatenate([out.keys, keys[first]]))
         lane, pts = ly[first], ys[first]
         out.kept.append((lane, pts))
+        out.count += np.bincount(lane, minlength=out.n_lanes)
         if target is not None:
             hit = np.unique(lane[target[cells[first]]])
             out.reason[hit] = HIT
             on = ~np.isin(lane, hit)
             lane, pts = lane[on], pts[on]
-        seen, lane, pts = out.shed(seen, lane, pts)
-    out.keys, out.steps_used = seen, out.stop
+        lane, pts = out.shed(lane, pts)
+    out.steps_used = out.stop
     out.converged = out.reason != OUTSIDE
     out.converged[lane] = False
     out.reason[out.converged & (out.reason == BUDGET)] = STALL

@@ -230,6 +230,8 @@ def affine2d(m, b, bounds=((0.0, 1.0), (0.0, 1.0))) -> System:
     m = np.asarray(m, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2)
     dom = Domain.box(bounds)
+    if dom.ndim != 2:
+        raise ValueError(f"affine2d: 'bounds' must give 2 axes, not {dom.ndim}")
     (m00, m01), (m10, m11) = m
 
     # elementwise, so that a point's image does not depend on its batch

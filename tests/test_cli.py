@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainscope
-from chainscope import orbits
+from chainscope import cli, orbits
 from chainscope.cli import (
     canonical_dumps,
     format_float,
@@ -252,6 +252,9 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
     ("verify", '{%s, "property": true}' % _SQUARE, "property"),
     ("basin", '{%s, "eps0": 0.1, "levels": 1, "component": 9}' % _SQUARE,
      "component"),
+    ("reach", '{%s}' % _AFFINE.replace('0.15]}', '0.15], "bounds": [[0, 1]]}'), "bounds"),
+    ("reach", '{%s}' % _AFFINE.replace('0.15]}', '0.15], "bounds": []}'), "bounds"),
+    ("chainreach", '{%s, "start": [0.2], "eps0": 0.1, "levels": 0}' % _SQUARE, "levels"),
 ], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
         "cells-string", "seed-negative", "levels-bool", "eps-duplicate",
         "policy-string", "policy-number", "policy-unknown-control",
@@ -260,7 +263,8 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
         "x-two-coordinates", "x-outside", "start-empty", "sample-outside",
         "samples-empty", "verify-delta-schedule", "lemma2-other-keys",
         "initial-fattening-n-max", "semicontinuity-levels", "controls-empty",
-        "property-unknown", "component-out-of-range"])
+        "property-unknown", "component-out-of-range", "bounds-one-axis",
+        "bounds-empty", "levels-zero"])
 def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     path = tmp_path / "probe.json"
     path.write_text(text)
@@ -351,6 +355,34 @@ def test_verify_lemma2_suite_exit_zero(tmp_path):
     assert run_cli(["verify", "--config", path, "--out", out, "--quiet"]) == 0
     rep = json.loads((tmp_path / "v_rep.json").read_text())
     assert rep["outcome"]["all_found"] is True
+
+
+def test_verify_lemma2_failure_exits_3_with_the_failing_instance(tmp_path):
+    """Instance 1 runs delta = 0.99 eps only, which fails at the first step:
+    the command exits 3 and reports that instance's record."""
+    real, calls = cli.find_uniform_delta, []
+
+    def fail_second(system, start, eps, n_max):
+        calls.append(eps)
+        return real(system, start, eps, n_max,
+                    delta_schedule=[0.99 * eps] if len(calls) == 2 else None)
+
+    cfg = {"system": {"name": "square"}, "grid": {"cells_per_dim": [64]},
+           "property": "lemma2", "instances": 3, "n_max": 20}
+    path = write_cfg(tmp_path, "v.json", cfg)
+    out = tmp_path / "v_rep.json"
+    with mock.patch.object(cli, "find_uniform_delta", fail_second):
+        assert run_cli(["verify", "--config", path, "--out", str(out), "--quiet"]) == 3
+    outcome = json.loads(out.read_text())["outcome"]
+    inst = outcome["instances"]
+    assert outcome["all_found"] is False and len(calls) == 3
+    assert [i["found"] is None for i in inst] == [False, True, False]
+    assert outcome["failing_instance"] == {
+        "eps": inst[1]["eps"], "n_max": 20, "found": None,
+        "entries": [{"delta": pytest.approx(0.99 * calls[1], rel=1e-11), "ok": False,
+                     "first_fail_n": 1}],
+        "instance": 1, "start_cell": inst[1]["start_cell"],
+    }
 
 
 def test_verify_lemma2_huge_n_max_ends_at_the_repeat(tmp_path):

@@ -180,7 +180,9 @@ def test_census_component_refinement_nesting():
                                 base_grid=Grid(BOX, 64)),
     lambda levels: dichotomy_report(square(), [[0.5]], eps0=0.1, levels=levels,
                                     base_grid=Grid(BOX, 64)),
-], ids=["minimal_sets", "dichotomy_report"])
+    lambda levels: weak_basin(square(), CellSet.from_points(Grid(BOX, 64), [[0.0]]),
+                              levels=levels),
+], ids=["minimal_sets", "dichotomy_report", "weak_basin"])
 def test_census_without_levels_is_a_named_error(entry, levels):
     with pytest.raises(ValueError, match="levels must be >= 1"):
         entry(levels)
@@ -366,6 +368,38 @@ def test_dichotomy_constant_consistent_and_attractive():
     assert all(c.verdict == "robust-at-resolution" for c in rep.robustness)
     assert rep.verdict_consistency
     assert rep.global_attraction is True
+
+
+def test_dichotomy_flags_an_unstable_unique_minimal_set():
+    """A unique minimal set witnessed unstable while every sample is robust
+    would contradict the theorem: the report says so."""
+    unstable = minimal.StabilityResult("unstable-witnessed", 0.1, None)
+    with mock.patch.object(minimal, "_stability", return_value=unstable):
+        rep = dichotomy_report(constant(0.3), [[0.9]], eps0=0.02, levels=2,
+                               base_grid=Grid(BOX, 256))
+    assert rep.census.count == "1"
+    assert rep.robustness[0].verdict == "robust-at-resolution"
+    assert rep.verdict_consistency is False and rep.global_attraction is None
+    assert rep.notes == ["all samples robust but the unique minimal set is "
+                         "unstable-witnessed"]
+
+
+def test_dichotomy_flags_an_isolated_component_in_an_unbounded_census():
+    real = minimal._census
+
+    def unbounded(*args):
+        census, orbits = real(*args)
+        census.count = "unbounded-at-resolution"
+        census.components[0].isolated = "yes"
+        return census, orbits
+
+    with mock.patch.object(minimal, "_census", unbounded):
+        rep = dichotomy_report(constant(0.3), [[0.9]], eps0=0.02, levels=2,
+                               base_grid=Grid(BOX, 256))
+    assert rep.robustness[0].verdict == "robust-at-resolution"
+    assert rep.verdict_consistency is False
+    assert rep.notes == ["all samples robust with an isolated component in "
+                         "an unbounded census"]
 
 
 def test_dichotomy_square_theorem_silent():

@@ -608,6 +608,8 @@ def test_tree_leaving_the_domain_raises_like_the_oracle():
     (lambda: drift_control(0.5), 0.3, Grid(Domain.box([[-1, 1]]), 64), {"control": 0.1}),
     (lambda: affine2d(*AFFINE), [0.9, 0.1], Grid(SQUARE, (16, 16)),
      {"window": 3, "burn_in": 0}),
+    # a falsy pinned control is pinned too, not the first control (-0.1)
+    (lambda: drift_control(0.5), 0.3, Grid(Domain.box([[-1, 1]]), 64), {"control": 0.0}),
 ])
 def test_omega_limit_matches_oracle(make, x, grid, kw):
     sys = make()

@@ -316,6 +316,18 @@ def test_uniform_delta_square_band():
     assert found is not None and found <= 0.05 + 1e-12
 
 
+def test_uniform_delta_failure_record():
+    """logistic(4.0) doubles a cell's width, so delta just under eps fails at
+    the first step, and the report records where."""
+    start = CellSet.from_points(Grid(BOX, 256), [[0.3]])
+    found, rep = find_uniform_delta(logistic(4.0), start, 0.1, 20, delta_schedule=[0.099])
+    assert found is None
+    assert rep.as_record() == {
+        "eps": 0.1, "n_max": 20, "found": None,
+        "entries": [{"delta": 0.099, "ok": False, "first_fail_n": 1}],
+    }
+
+
 @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
 def test_delta_schedule_rejects_non_finite_eps(eps):
     with pytest.raises(ValueError, match="finite"):
