@@ -132,12 +132,9 @@ def witness_csv(rows, ndim: int) -> str:
 # config loading and validation
 # --------------------------------------------------------------------------
 
-def _finite(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, list):
-        return all(_finite(v) for v in value)
-    return True
+def _leaves(value) -> list:
+    """The values in ``value`` and its nested lists that are not lists."""
+    return [w for v in value for w in _leaves(v)] if isinstance(value, list) else [value]
 
 
 def _strict_object(pairs) -> dict:
@@ -146,7 +143,7 @@ def _strict_object(pairs) -> dict:
     for key, value in pairs:
         if key in obj:
             raise ConfigError(f"duplicate key {key!r}")
-        if not _finite(value):
+        if any(isinstance(v, float) and not math.isfinite(v) for v in _leaves(value)):
             raise ConfigError(f"key {key!r} must be finite")
         obj[key] = value
     return obj
@@ -245,6 +242,9 @@ def validate_config(command: str, cfg: dict) -> dict:
 
 def _build_system(cfg: dict):
     spec = cfg["system"]
+    for key, value in spec.get("parameters", {}).items():
+        for v in _leaves(value):
+            _number(key, v)
     try:
         return make_system(spec["name"], spec.get("parameters", {}))
     except (TypeError, ValueError, ChainscopeError) as exc:

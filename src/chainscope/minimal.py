@@ -287,13 +287,10 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
             anc = comps_0[key]
             shrinks = union.size <= SHRINK_RATIO * len(anc) * scale
             if not shrinks and orbits:
-                pts = orbits[0].points
-                hull_f = fatten(
-                    CellSet.from_indices(grid_f, np.unique(grid_f.cells_of(pts))),
-                    radius,
-                )
+                hull_f = fatten(orbits[0].cells, radius)
                 hull_0 = fatten(
-                    CellSet.from_indices(grid_0, np.unique(grid_0.cells_of(pts))),
+                    CellSet.from_indices(
+                        grid_0, np.unique(grid_0.cells_of(orbits[0].points))),
                     eps0 + grid_0.cell_diameter,
                 )
                 exc_f = len(cells - hull_f)
@@ -314,7 +311,6 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
     # isolation flags at the finest level
     for i, comp in enumerate(out):
         if not comp.evidence_minimal:
-            comp.isolated = "unknown-at-resolution"
             continue
         hull = fatten(comp.cells, eps_f)
         touching = any(
@@ -438,7 +434,6 @@ def weak_basin(
     sys: System,
     a_set: CellSet,
     levels: int = 2,
-    orbit_max_steps: int = 100_000,
     invariance_eps: float | None = None,
 ) -> CellSet:
     """Cells whose sampled orbits all come near the candidate minimal set.
@@ -453,6 +448,7 @@ def weak_basin(
     Each orbit stops at its first cell in the target, so an orbit that
     meets it and would leave the domain later counts as a hit; an orbit
     read that leaves the domain before meeting it raises ``DomainError``.
+    Each orbit runs at most 100,000 steps.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -463,14 +459,14 @@ def weak_basin(
     results = []
     for k in range(levels):
         grid_k = grid0.refine(2 ** k)
-        a_k = a_set.refine(2 ** k) if k else a_set.copy()
+        a_k = a_set.refine(2 ** k)
         t_mask = fatten(a_k, grid_k.resolution_floor).mask.reshape(-1)
         probes = _probe_points(grid_k)
         n_probe = probes.shape[1]
         flat = probes.reshape(-1, probes.shape[-1])
         first, lane = _first_occurrences(flat)   # one orbit per distinct point
         hit, outside = [], {}
-        for lanes in reach_lanes(sys, flat[first], grid_k, orbit_max_steps, target=t_mask):
+        for lanes in reach_lanes(sys, flat[first], grid_k, 100_000, target=t_mask):
             hit.append(lanes.reason == HIT)   # the block's orbits are freed
             outside.update((lanes.b0 + b, p) for b, p in lanes.outside.items())
         hit = np.concatenate(hit)
@@ -630,14 +626,13 @@ def dichotomy_report(
         certs.append(_certify(sys, p, robust_eps, schedule, grid_f, orbit))
         ends.append(_resume_from(orbit.points, BURN_IN))
     all_robust = all(c.verdict == "robust-at-resolution" for c in certs)
+    none_isolated = all(c.isolated != "yes" for c in census.components)
 
     if not all_robust:
         consistency = True
         notes.append("non-robust samples present: dichotomy hypothesis not "
                      "met, theorem silent")
-        if census.count == "unbounded-at-resolution" and all(
-            c.isolated != "yes" for c in census.components
-        ):
+        if census.count == "unbounded-at-resolution" and none_isolated:
             notes.append("census matches the infinite-census alternative yet "
                          "samples are non-robust: the converse of the "
                          "dichotomy is false here")
@@ -647,7 +642,7 @@ def dichotomy_report(
             notes.append("all samples robust but the unique minimal set is "
                          "unstable-witnessed")
     elif census.count == "unbounded-at-resolution":
-        consistency = all(c.isolated != "yes" for c in census.components)
+        consistency = none_isolated
         if not consistency:
             notes.append("all samples robust with an isolated component in "
                          "an unbounded census")

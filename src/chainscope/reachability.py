@@ -178,7 +178,7 @@ def chain_reach(
         except ResourceLimitError as exc:
             exc.partial = ChainReachResult(out, out[-1].cells if out else start, False)
             raise
-        start_k = start.refine(2 ** k) if k else start.copy()
+        start_k = start.refine(2 ** k)
         if fatten_start:
             start_k = fatten(start_k, eps_k)
         cand = out[-1].cells.refine(2) if k else None
@@ -347,7 +347,6 @@ def _certify(sys, x, eps, schedule, grid, orbit):
 def _extend_chain(sys, rows, z, orbit_pts, eps, budget):
     dom = sys.domain
     step = rows[-1].step
-    best = float(nearest_distances(dom, z[None, :], orbit_pts)[0])
     for _ in range(400):   # extra steps at most
         step += 1
         raws, pushed = [], []
@@ -569,25 +568,23 @@ def semicontinuity_probe(
     x,
     eps: float,
     mode: str,
-    delta_schedule=None,
     grid: Grid | None = None,
-    max_steps: int = 200_000,
 ) -> ProbeReport:
     """Probe semicontinuity of the sampled reach multifunction at x.
 
     usc mode searches delta with reach(y) inside the eps-fattened reach(x)
     for every sampled y in the delta-ball; lsc mode searches delta with
     reach(x) inside the eps-fattened reach(y) for every sampled y.  Probes
-    are falsifiers and evidence, not proofs.  Each radius is probed at 32
-    points of its ball.
+    are falsifiers and evidence, not proofs.  The radii are
+    ``default_delta_schedule(eps, eps / 64)``, each probed at 32 points of
+    its ball; every orbit keeps ``orbit_reach``'s step budget.
     """
     if mode not in ("usc", "lsc"):
         raise ValueError("mode must be 'usc' or 'lsc'")
     if grid is None:
         grid = grid_for(sys.domain, eps)
-    if delta_schedule is None:
-        delta_schedule = default_delta_schedule(eps, eps / 64.0)
-    base = orbit_reach(sys, x, grid, max_steps=max_steps)
+    delta_schedule = default_delta_schedule(eps, eps / 64.0)
+    base = orbit_reach(sys, x, grid)
     if not base.converged:
         raise InconclusiveError("reach at the probe center did not converge")
     base_fat = fatten(base.cells, eps)
@@ -596,7 +593,7 @@ def semicontinuity_probe(
         ok = True
         ys = _ball_samples(sys.domain, x, delta, 32).reshape(-1, sys.domain.ndim)
         # the samples' orbits run block by block as they are read
-        for y, r in zip(ys, reaches(sys, ys, grid, max_steps)):
+        for y, r in zip(ys, reaches(sys, ys, grid, 200_000)):
             if not r.converged:
                 raise InconclusiveError(f"reach at probe point {y!r} did not converge")
             if mode == "usc":

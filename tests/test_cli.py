@@ -255,6 +255,18 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
     ("reach", '{%s}' % _AFFINE.replace('0.15]}', '0.15], "bounds": [[0, 1]]}'), "bounds"),
     ("reach", '{%s}' % _AFFINE.replace('0.15]}', '0.15], "bounds": []}'), "bounds"),
     ("chainreach", '{%s, "start": [0.2], "eps0": 0.1, "levels": 0}' % _SQUARE, "levels"),
+    ("reach", '{"system": {"name": "constant", "parameters": {"c": true}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "c"),
+    ("reach", '{"system": {"name": "logistic", "parameters": {"r": "abc"}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "r"),
+    ("reach", '{"system": {"name": "logistic", "parameters": {"r": null}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "r"),
+    ("reach", '{"system": {"name": "rotation", "parameters": {"theta": "x"}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "theta"),
+    ("reach", '{"system": {"name": "drift_control", "parameters": '
+              '{"a": 0.5, "controls": "ab"}}, "grid": {"cells_per_dim": [64]}, '
+              '"x": 0.3}', "controls"),
+    ("reach", '{%s}' % _AFFINE.replace('[0.2, 0.15]', '"ab"'), "b"),
 ], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
         "cells-string", "seed-negative", "levels-bool", "eps-duplicate",
         "policy-string", "policy-number", "policy-unknown-control",
@@ -264,7 +276,8 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
         "samples-empty", "verify-delta-schedule", "lemma2-other-keys",
         "initial-fattening-n-max", "semicontinuity-levels", "controls-empty",
         "property-unknown", "component-out-of-range", "bounds-one-axis",
-        "bounds-empty", "levels-zero"])
+        "bounds-empty", "levels-zero", "parameter-bool", "parameter-string",
+        "parameter-null", "theta-string", "controls-string", "b-string"])
 def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     path = tmp_path / "probe.json"
     path.write_text(text)

@@ -555,6 +555,15 @@ def test_hausdorff_within_checks_like_hausdorff():
     assert not _hausdorff_within(CellSet.full(g), CellSet.full(g), -1.0)
 
 
+@pytest.mark.parametrize("r", [-1.0, -1e-300, float("nan")])
+def test_hausdorff_within_refuses_a_negative_or_nan_radius_in_2d(r):
+    g = Grid(Domain.box([[0, 1], [0, 1]]), (7, 7))
+    a = CellSet.from_indices(g, [0, 8, 24])
+    for b in (a, CellSet.from_indices(g, [1, 40])):
+        assert not hausdorff(a, b) <= r
+        assert not _hausdorff_within(a, b, r)
+
+
 # --------------------------------------------------------------------------
 # cell sets
 # --------------------------------------------------------------------------

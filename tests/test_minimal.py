@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chainscope import minimal
 from chainscope.errors import ChainscopeError, DomainError, PreconditionError
-from chainscope.geometry import CellSet, Domain, Grid, fatten
+from chainscope.geometry import CellSet, Domain, Grid, fatten, grid_for
 from chainscope.minimal import (
     Census,
     MinimalSetApprox,
@@ -174,6 +174,17 @@ def test_census_component_refinement_nesting():
     assert fine_cells.issubset(coarse_cells.refine(2))
 
 
+@pytest.mark.parametrize("sys,eps0", [
+    (logistic(3.2), 0.05), (square(), 0.02),
+    (affine2d([[0.5, 0.1], [0.0, 0.6]], [0.2, 0.15]), 0.1),
+])
+def test_census_default_base_grid_is_grid_for_eps0(sys, eps0):
+    census = minimal_sets(sys, eps0, 2)
+    same = minimal_sets(sys, eps0, 2, grid_for(sys.domain, eps0))
+    assert census.as_record() == same.as_record()
+    assert [c.cells for c in census.components] == [c.cells for c in same.components]
+
+
 @pytest.mark.parametrize("levels", [0, -1])
 @pytest.mark.parametrize("entry", [
     lambda levels: minimal_sets(square(), 0.1, levels=levels,
@@ -259,6 +270,19 @@ def test_stability_certificate_replays():
     graph = build_graph(square(), g, 4 * g.cell_diameter)
     reach = forward_reach(graph, fatten(a, res.w_radius))
     assert reach.issubset(fatten(a, 0.1))
+
+
+def test_stability_inconclusive_when_only_a_itself_stays_in_v():
+    # the census component around logistic(1.5)'s fixed point 1/3 at eps0 of
+    # four cell diameters: no fattening W stays in V, but A's own graph reach does
+    g = Grid(BOX, 128)
+    sys = logistic(1.5)
+    census = minimal_sets(sys, 4 * g.cell_diameter, 1, g)
+    (a,) = [c.cells for c in census.components if g.cell_of(1 / 3) in c.cells]
+    assert a == CellSet.from_indices(g, range(23, 52))
+    res = lyapunov_stability(sys, a, 0.1)
+    assert res.flag == "inconclusive" and res.w_radius is None
+    assert res.note == "no W certified, but A itself stays in V at graph level"
 
 
 def test_stability_requires_invariant_set():
@@ -400,6 +424,18 @@ def test_dichotomy_flags_an_isolated_component_in_an_unbounded_census():
     assert rep.verdict_consistency is False
     assert rep.notes == ["all samples robust with an isolated component in "
                          "an unbounded census"]
+
+
+def test_dichotomy_notes_a_failed_stability_precondition():
+    fail = PreconditionError("a_set is not forward-invariant at graph level")
+    with mock.patch.object(minimal, "_stability", side_effect=fail):
+        rep = dichotomy_report(constant(0.3), [[0.9]], eps0=0.02, levels=2,
+                               base_grid=Grid(BOX, 256))
+    (comp,) = rep.census.components
+    assert comp.stability == "inconclusive" and comp.stability_result is None
+    assert rep.notes == ["stability precondition failed: a_set is not "
+                         "forward-invariant at graph level"]
+    assert rep.verdict_consistency is True and rep.global_attraction is None
 
 
 def test_dichotomy_square_theorem_silent():

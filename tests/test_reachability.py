@@ -427,6 +427,23 @@ def test_identity_probe_passes_both_modes():
         assert rep.found_delta is not None
 
 
+@pytest.mark.parametrize("stuck,message", [
+    (lambda starts: True, "reach at the probe center did not converge"),
+    (lambda starts: len(starts) > 1, "reach at probe point"),
+])
+def test_probe_without_a_converged_orbit_is_inconclusive(monkeypatch, stuck, message):
+    # the probe center's orbit runs alone, the ball's samples together
+    real = reachability.reaches
+
+    def reaches(sys, starts, *args):
+        for r in real(sys, starts, *args):
+            yield dataclasses.replace(r, converged=False) if stuck(starts) else r
+
+    monkeypatch.setattr(reachability, "reaches", reaches)
+    with pytest.raises(InconclusiveError, match=message):
+        semicontinuity_probe(identity_map(), 0.4, 0.1, "usc", grid=Grid(BOX, 512))
+
+
 @pytest.mark.parametrize("x", [(0.3, 0.4), (0.0, 1.0)])
 def test_2d_ball_samples_lie_in_the_open_ball_and_the_domain(x):
     square_2d = Domain.box([[0.0, 1.0], [0.0, 1.0]])
