@@ -47,10 +47,10 @@ EXIT_VERIFY_FAIL = 3
 # and the lemma2 report (about 130 KB at the bound)
 MAX_INSTANCES = 1000
 
-GLOBAL_KEYS = {"system", "grid", "seed"}
+GLOBAL_KEYS = {"system", "grid"}
 # verify reads "property" and the keys of that property only
 VERIFY_KEYS = {
-    "lemma2": {"n_max", "instances"},
+    "lemma2": {"n_max", "instances", "seed"},
     "initial-fattening": {"start", "eps0", "levels"},
     "semicontinuity": {"x", "eps", "mode"},
 }
@@ -469,18 +469,8 @@ def _verify_uniform_delta(cfg, system, grid):
 
 
 # --------------------------------------------------------------------------
-# report assembly and entry point
+# report output and entry point
 # --------------------------------------------------------------------------
-
-def assemble_report(command: str, cfg: dict, outcome: dict, work: dict) -> dict:
-    return {
-        "command": command,
-        "config": cfg,
-        "outcome": outcome,
-        "timing": {"work_units": work},
-        "version": __version__,
-    }
-
 
 def write_report(report: dict, out: str | None, sidecars: dict | None = None):
     text = canonical_dumps(report) + "\n"
@@ -511,7 +501,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         code, outcome, work, sidecars = run(args.command, cfg)
-        report = assemble_report(args.command, cfg, outcome, work)
+        report = {"command": args.command, "config": cfg, "outcome": outcome,
+                  "timing": {"work_units": work}, "version": __version__}
         write_report(report, args.out, sidecars)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -472,8 +472,6 @@ def fatten(cells: CellSet, eps: float) -> CellSet:
     if eps <= 0:
         raise ValueError("eps must be positive")
     grid = cells.grid
-    if not cells:
-        return cells.copy()
     if grid.domain.ndim == 1:
         k, idx = grid.fatten_offsets(eps), cells.indices()
         mask = _range_union(grid.n_cells, *_index_ranges(grid, idx - k, idx + k))

@@ -289,8 +289,7 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
             if not shrinks and orbits:
                 hull_f = fatten(orbits[0].cells, radius)
                 hull_0 = fatten(
-                    CellSet.from_indices(
-                        grid_0, np.unique(grid_0.cells_of(orbits[0].points))),
+                    CellSet.from_indices(grid_0, grid_0.cells_of(orbits[0].points)),
                     eps0 + grid_0.cell_diameter,
                 )
                 exc_f = len(cells - hull_f)
@@ -385,8 +384,6 @@ def _stability(sys, a_set, v_eps, invariance_eps, orbit_max_steps, floor_graph):
     starts = grid.centers()[probe_cells[::stride]]
     # read in probe order, the orbits run block by block: the first witness wins
     for start, orb in zip(starts, reaches(sys, starts, grid, orbit_max_steps)):
-        if not orb.converged:
-            continue
         if not orb.cells.issubset(v_set):
             return StabilityResult(
                 "unstable-witnessed", v_eps, None, witness_orbit=orb.points,
@@ -604,7 +601,6 @@ def dichotomy_report(
             comp.stability = sres.flag
             comp.stability_result = sres
         except PreconditionError as exc:
-            comp.stability = "inconclusive"
             notes.append(f"stability precondition failed: {exc}")
     floor_graph.cache_clear()
 

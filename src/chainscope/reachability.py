@@ -590,7 +590,6 @@ def semicontinuity_probe(
     base_fat = fatten(base.cells, eps)
     violator = None
     for delta in delta_schedule:
-        ok = True
         ys = _ball_samples(sys.domain, x, delta, 32).reshape(-1, sys.domain.ndim)
         # the samples' orbits run block by block as they are read
         for y, r in zip(ys, reaches(sys, ys, grid, 200_000)):
@@ -601,9 +600,8 @@ def semicontinuity_probe(
             else:
                 good = base.cells.issubset(fatten(r.cells, eps))
             if not good:
-                ok = False
                 violator = tuple(float(v) for v in y)
                 break
-        if ok:
+        else:
             return ProbeReport(mode, eps, delta, None, list(delta_schedule))
     return ProbeReport(mode, eps, None, violator, list(delta_schedule))

@@ -11,6 +11,7 @@ a batch of cells in 1-D and 2-D; everything that images cells goes through it.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -164,10 +165,18 @@ def _check_edge_cap(count: int, unit: str = "edges") -> int:
 # catalog
 # --------------------------------------------------------------------------
 
+def _param(key: str, convert, value):
+    """``convert(value)``; a TypeError or ValueError it raises names ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"key {key!r}: {exc}") from None
+
+
 def rotation(theta: float) -> System:
     """Circle rotation x -> (x + theta) mod 1; isometry, L = 1.  The map
     returns x + theta; ``System.image_points`` wraps it onto the circle."""
-    th = float(theta)
+    th = _param("theta", float, theta)
 
     def f(pts, u):
         return pts + th
@@ -195,9 +204,9 @@ def identity_map() -> System:
 
 def logistic(r: float) -> System:
     """x -> r*x*(1-x) on [0, 1], r in (0, 4]; L = r."""
-    r = float(r)
+    r = _param("r", float, r)
     if not 0.0 < r <= 4.0:
-        raise ValueError("logistic parameter r must be in (0, 4]")
+        raise ValueError("key 'r' must be in (0, 4]")
 
     def f(pts, u):
         out = r * pts * (1.0 - pts)
@@ -211,9 +220,9 @@ def logistic(r: float) -> System:
 
 def constant(c: float) -> System:
     """x -> c on [0, 1]; L = 0."""
-    c = float(c)
+    c = _param("c", float, c)
     if not 0.0 <= c <= 1.0:
-        raise ValueError("constant value must lie in [0, 1]")
+        raise ValueError("key 'c' must lie in [0, 1]")
 
     def f(pts, u):
         return np.full_like(pts, c)
@@ -227,11 +236,11 @@ def affine2d(m, b, bounds=((0.0, 1.0), (0.0, 1.0))) -> System:
     Self-map is checked exactly at construction: the affine image of a box is
     the convex hull of its corner images.
     """
-    m = np.asarray(m, dtype=float).reshape(2, 2)
-    b = np.asarray(b, dtype=float).reshape(2)
-    dom = Domain.box(bounds)
+    m = _param("m", lambda v: np.asarray(v, dtype=float).reshape(2, 2), m)
+    b = _param("b", lambda v: np.asarray(v, dtype=float).reshape(2), b)
+    dom = _param("bounds", Domain.box, bounds)
     if dom.ndim != 2:
-        raise ValueError(f"affine2d: 'bounds' must give 2 axes, not {dom.ndim}")
+        raise ValueError(f"key 'bounds' must give 2 axes, not {dom.ndim}")
     (m00, m01), (m10, m11) = m
 
     # elementwise, so that a point's image does not depend on its batch
@@ -246,7 +255,7 @@ def affine2d(m, b, bounds=((0.0, 1.0), (0.0, 1.0))) -> System:
                         [hi[0], lo[1]], [hi[0], hi[1]]])
     img = f(corners, None)
     if np.any(img < lo[None, :]) or np.any(img > hi[None, :]):
-        raise SelfMapError("affine2d: image of the domain leaves the domain")
+        raise SelfMapError("key 'parameters': affine2d maps the domain off itself")
 
     lip = float(np.linalg.norm(m, 2))
     return System("affine2d", dom, {"m": m.tolist(), "b": b.tolist()},
@@ -255,12 +264,12 @@ def affine2d(m, b, bounds=((0.0, 1.0), (0.0, 1.0))) -> System:
 
 def drift_control(a: float, controls=(-0.1, 0.0, 0.1)) -> System:
     """x -> a*x + u on [-1, 1] with finite control set; L = |a|."""
-    a = float(a)
-    controls = tuple(float(u) for u in controls)
+    a = _param("a", float, a)
+    controls = _param("controls", lambda v: tuple(float(u) for u in v), controls)
     if not controls:
-        raise ValueError("'controls' must be a non-empty list")
+        raise ValueError("key 'controls' must be a non-empty list")
     if abs(a) + max(abs(u) for u in controls) > 1.0:
-        raise SelfMapError("drift_control: |a| + max|u| must be <= 1")
+        raise SelfMapError("key 'parameters': drift_control needs |a| + max|u| <= 1")
 
     def f(pts, u):
         return a * pts + u
@@ -282,6 +291,13 @@ CATALOG = {
 
 def make_system(name: str, params: dict | None = None) -> System:
     """Instantiate a catalog system by name and parameter map (CLI entry)."""
-    if name not in CATALOG:
-        raise ValueError(f"unknown system {name!r}; catalog: {sorted(CATALOG)}")
-    return CATALOG[name](**(params or {}))
+    if not isinstance(name, str) or name not in CATALOG:
+        raise ValueError(f"key 'name' is {name!r}; catalog: {sorted(CATALOG)}")
+    params, sig = params or {}, inspect.signature(CATALOG[name]).parameters
+    for key in params:
+        if key not in sig:
+            raise ValueError(f"unknown key {key!r} for system {name!r}")
+    for key, p in sig.items():
+        if p.default is p.empty and key not in params:
+            raise ValueError(f"missing key {key!r} for system {name!r}")
+    return CATALOG[name](**params)

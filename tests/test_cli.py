@@ -267,6 +267,48 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
               '{"a": 0.5, "controls": "ab"}}, "grid": {"cells_per_dim": [64]}, '
               '"x": 0.3}', "controls"),
     ("reach", '{%s}' % _AFFINE.replace('[0.2, 0.15]', '"ab"'), "b"),
+    ("reach", '{%s, "x": 0.5, "seed": 1}' % _SQUARE, "seed"),
+    ("verify", '{%s, "property": "semicontinuity", "x": 0.5, "eps": 0.1, '
+               '"seed": 1}' % _SQUARE, "seed"),
+    ("robust", '{%s, "x": 0.5, "eps": 0.1, "delta_schedule": [0.05, -0.1]}' % _SQUARE,
+     "delta_schedule"),
+    ("reach", '{"system": {"name": "square", "colour": 1}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "colour"),
+    ("reach", '{"system": {"name": "square"}, '
+              '"grid": {"cells_per_dim": [64], "colour": 1}, "x": 0.3}', "colour"),
+    ("reach", '{"system": {"name": "nope"}, "grid": {"cells_per_dim": [64]}, '
+              '"x": 0.3}', "name"),
+    ("reach", '{"system": {"name": 5}, "grid": {"cells_per_dim": [64]}, '
+              '"x": 0.3}', "name"),
+    ("reach", '{"system": {"name": "logistic", "parameters": {"r": 3.2, "q": 1}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "q"),
+    ("reach", '{"system": {"name": "square", "parameters": {"r": 3.2}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "r"),
+    ("reach", '{"system": {"name": "logistic"}, "grid": {"cells_per_dim": [64]}, '
+              '"x": 0.3}', "r"),
+    ("reach", '{"system": {"name": "logistic", "parameters": {"r": [2.5]}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "r"),
+    ("reach", '{"system": {"name": "rotation", "parameters": {"theta": [0.1]}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "theta"),
+    ("reach", '{"system": {"name": "logistic", "parameters": {"r": 5}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "r"),
+    ("reach", '{"system": {"name": "constant", "parameters": {"c": 2}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "c"),
+    ("reach", '{%s}' % _AFFINE.replace('[0.0, 0.6]]', '[0.0]]'), "m"),
+    ("reach", '{%s}' % _AFFINE.replace('[[0.5, 0.1], [0.0, 0.6]]', '[0.5, 0.1]'), "m"),
+    ("reach", '{%s}' % _AFFINE.replace('0.15]}', '0.15], "bounds": [[0, 1], [0]]}'),
+     "bounds"),
+    ("reach", '{%s}' % _AFFINE.replace('0.15]}', '0.15], "bounds": [[0, 1], [0, 1], '
+                                       '[0, 1]]}'), "bounds"),
+    ("reach", '{%s}' % _AFFINE.replace('0.15]}', '0.15], "bounds": [[1, 0], [0, 1]]}'),
+     "bounds"),
+    ("reach", '{%s}' % _AFFINE.replace('[[0.5, 0.1], [0.0, 0.6]]', '[[2, 0], [0, 1]]'),
+     "parameters"),
+    ("reach", '{"system": {"name": "drift_control", "parameters": '
+              '{"a": 0.5, "controls": [[0.1]]}}, "grid": {"cells_per_dim": [64]}, '
+              '"x": 0.3}', "controls"),
+    ("reach", '{"system": {"name": "drift_control", "parameters": {"a": 0.95}}, '
+              '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "parameters"),
 ], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
         "cells-string", "seed-negative", "levels-bool", "eps-duplicate",
         "policy-string", "policy-number", "policy-unknown-control",
@@ -277,7 +319,13 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
         "initial-fattening-n-max", "semicontinuity-levels", "controls-empty",
         "property-unknown", "component-out-of-range", "bounds-one-axis",
         "bounds-empty", "levels-zero", "parameter-bool", "parameter-string",
-        "parameter-null", "theta-string", "controls-string", "b-string"])
+        "parameter-null", "theta-string", "controls-string", "b-string",
+        "seed-reach", "seed-semicontinuity", "delta-schedule-negative",
+        "system-extra-key", "grid-extra-key", "name-unknown", "name-number",
+        "parameter-unknown", "parameter-of-another-system", "parameter-missing",
+        "r-list", "theta-list", "r-out-of-range", "c-out-of-range", "m-ragged",
+        "m-two-entries", "bounds-ragged", "bounds-three-axes", "bounds-inverted",
+        "affine2d-not-a-self-map", "controls-nested", "drift-control-not-a-self-map"])
 def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     path = tmp_path / "probe.json"
     path.write_text(text)
@@ -286,6 +334,15 @@ def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
                     "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(key) in err, err
+
+
+def test_unreadable_or_non_object_config_exits_one(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert run_cli(["reach", "--config", missing, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read config: ")
+    listed = write_cfg(tmp_path, "list.json", [{"system": {"name": "square"}}])
+    assert run_cli(["reach", "--config", listed, "--quiet"]) == 1
+    assert capsys.readouterr().err == "config error: config root must be an object\n"
 
 
 @pytest.mark.parametrize("command,levels,cap", [
@@ -441,6 +498,19 @@ def test_dichotomy_sample_points_past_the_bound_end_at_once(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "config error: key 'sample_points' must hold at most 1000 points" in err
+
+
+def test_dichotomy_witnesses_instability_within_a_short_step_budget(tmp_path):
+    # square's fixed point 1 is unstable; its probe orbits leave V within a
+    # few steps, long before a 10-step budget would let them converge
+    cfg = {"system": {"name": "square"}, "grid": {"cells_per_dim": [512]},
+           "eps0": 0.01, "levels": 2, "sample_points": [0.0, 1.0], "max_steps": 10}
+    path = write_cfg(tmp_path, "d.json", cfg)
+    out = tmp_path / "o.json"
+    assert run_cli(["dichotomy", "--config", path, "--out", str(out), "--quiet"]) == 0
+    comps = json.loads(out.read_text())["outcome"]["components"]
+    assert [(c["representative"][0] > 0.5, c["stability"]) for c in comps] == [
+        (False, "stable-certified"), (True, "unstable-witnessed")]
 
 
 def test_verify_initial_fattening_exit_zero(tmp_path):

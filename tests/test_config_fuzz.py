@@ -1,13 +1,15 @@
 """Config fuzzer: malformed and extreme values for every key of every command.
 
 Each example takes a valid config of one command on a tiny 1-D or 2-D grid,
-drops keys or sets them to wrong types, zero, negatives, 1e-300, 1e300 or
+for a catalog system, drops keys (the system's name and parameters
+included) or sets them to wrong types, zero, negatives, 1e-300, 1e300 or
 empty and nested lists, and runs the CLI in process. The run must end within
 a wall budget and a traced-memory budget with exit code 0-3 and no
 traceback, and every ``config error:`` or ``resource error:`` line must name
 a key, as ``key '<k>'`` or as its quoted subject, or a cap by its name.
 """
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope.cli import COMMAND_KEYS, GLOBAL_KEYS, VERIFY_KEYS, main
+from chainscope.systems import CATALOG
 
 BUDGET_S = 5.0
 PEAK_BYTES = 32 * 2 ** 20   # tracemalloc peak; the largest seen is under 1 MB
@@ -31,14 +34,25 @@ SYSTEMS = {
                                             "b": [0.2, 0.15]}},
         [8, 8], [0.3, 0.4], [[0.3, 0.4]], 0.75, 1.5),
 }
+# the catalog's 1-D systems, drawn in place of SYSTEMS[1]'s; drift_control's
+# domain is [-1, 1], so eps0 and eps fall below its resolution floor
+SYSTEMS_1D = [
+    {"name": "square"}, {"name": "identity"},
+    {"name": "logistic", "parameters": {"r": 3.2}},
+    {"name": "rotation", "parameters": {"theta": 0.3}},
+    {"name": "constant", "parameters": {"c": 0.25}},
+    {"name": "drift_control", "parameters": {"a": 0.5}},
+]
 VALUES = [
     "x", True, None, {}, {"a": 1}, 0, -1, -2.5, 1e-300, 1e300, -1e300, 0.5, 2,
     [], [[]], [[[]]], [1e300], [0.5], [[0.5]], [[0.5, 0.5]], [[1e-300, 2]],
     "all", "usc", "lemma2",
 ]
+# every parameter of every catalog system
+PARAMETERS = {p for f in CATALOG.values() for p in inspect.signature(f).parameters}
 # the keys a message may name: every config key and the nested ones
 NAMES = (GLOBAL_KEYS | {"property", "cells_per_dim", "name", "parameters"}
-         | set().union(*COMMAND_KEYS.values()))
+         | set().union(*COMMAND_KEYS.values()) | PARAMETERS)
 CAPS = ("CHAINSCOPE_MAX_CELLS=", "MAX_EXPLICIT_EDGES=")
 
 
@@ -66,18 +80,28 @@ def base_config(command: str, prop: str | None, ndim: int) -> dict:
 def configs(draw):
     command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
     prop = draw(st.sampled_from(sorted(VERIFY_KEYS))) if command == "verify" else None
-    cfg = base_config(command, prop, draw(st.sampled_from([1, 2])))
-    keys = sorted(GLOBAL_KEYS | COMMAND_KEYS[command] | {"grid.cells_per_dim"})
+    ndim = draw(st.sampled_from([1, 2]))
+    cfg = base_config(command, prop, ndim)
+    if ndim == 1:
+        cfg["system"] = json.loads(json.dumps(draw(st.sampled_from(SYSTEMS_1D))))
+    keys = sorted(GLOBAL_KEYS | COMMAND_KEYS[command]
+                  | {"grid.cells_per_dim", "system.name"}
+                  | {f"system.parameters.{p}" for p in PARAMETERS})
     for _ in range(draw(st.integers(1, 3))):
-        target, key = cfg, draw(st.sampled_from(keys))
-        if key == "grid.cells_per_dim":
-            if not isinstance(cfg.get("grid"), dict):
-                continue
-            target, key = cfg["grid"], "cells_per_dim"
+        *path, key = draw(st.sampled_from(keys)).split(".")
+        target = cfg
+        for step in path:
+            if isinstance(target, dict) and step == "parameters":
+                target.setdefault(step, {})   # square and identity take none
+            target = target.get(step) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            continue
         if draw(st.integers(0, 4)) == 0:
             target.pop(key, None)
         else:
-            target[key] = draw(st.sampled_from(VALUES))
+            # a catalog name about as often as a malformed one
+            names = sorted(CATALOG) * 3 if key == "name" else []
+            target[key] = draw(st.sampled_from(names + VALUES))
     return command, cfg
 
 

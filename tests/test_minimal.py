@@ -255,6 +255,17 @@ def test_stability_square_one_unstable_with_orbit_witness():
     assert pts[0] > 0.9 and pts.min() < 0.9   # genuinely leaves V
 
 
+def test_stability_reads_probe_orbits_cut_by_their_step_budget():
+    # the probe from 0.99267578 falls below 0.9 within 5 steps: the steps an
+    # unconverged orbit ran are genuine trajectory points
+    g = Grid(BOX, 1024)
+    res = lyapunov_stability(square(), CellSet.from_points(g, [[1.0]]), 0.1,
+                             orbit_max_steps=10)
+    assert res.flag == "unstable-witnessed"
+    pts = res.witness_orbit[:, 0]
+    assert len(pts) <= 11 and pts[0] > 0.9 and pts.min() < 0.9
+
+
 def test_stability_identity_inconclusive_fattening_artifact():
     g = Grid(BOX, 1024)
     res = lyapunov_stability(identity_map(), CellSet.from_points(g, [[0.5]]),
