@@ -408,9 +408,6 @@ class CellSet:
     def centers(self) -> np.ndarray:
         return self.grid.centers()[self.indices()]
 
-    def copy(self) -> "CellSet":
-        return CellSet(self.grid, self.mask.copy())
-
     def refine(self, factor: int) -> "CellSet":
         """Same region on a grid refined by an integer factor per dimension."""
         grid, mask = self.grid.refine(factor), self.mask   # the cap comes first

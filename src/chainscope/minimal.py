@@ -242,56 +242,48 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
     eps_f, grid_f = eps0 / (2 ** (levels - 1)), grid_k
     finest = [cs.indices() for cs in comps]
 
-    # group finest components by their level-0 ancestor: the one holding most
-    # of their coarsened cells, then the one of smallest index.  Every finest
-    # component lies in the refinement of level-0 components, so each has one.
+    # group finest components by the level-0 component of their first cell:
+    # each lies in the refinement of exactly one (see the README on
+    # subdivision).  Components come in first-cell order, so groups do too.
     factor_to_base = 2 ** (levels - 1)
     label_0 = np.full(grid_0.n_cells, -1)
     for i, cs in enumerate(comps_0):
         label_0[cs.indices()] = i
     groups: dict[int, list[int]] = {}
     for i, comp in enumerate(finest):
-        coarse = np.unique(_coarsen_indices(comp, grid_f, factor_to_base))
-        groups.setdefault(int(np.bincount(label_0[coarse]).argmax()), []).append(i)
-    keys = sorted(groups, key=lambda k: min(finest[i][0] for i in groups[k]))
-    unions = [np.unique(np.concatenate([finest[i] for i in groups[k]])) for k in keys]
+        key = int(label_0[_coarsen_indices(comp[0], grid_f, factor_to_base)])
+        groups.setdefault(key, []).append(i)
+    unions = [np.sort(np.concatenate([finest[i] for i in m])) for m in groups.values()]
 
     # every mid orbit, then the extra orbits, as the lanes of one engine
-    # call, read in component order; a rep orbit runs on its own
+    # call, read in component order; a rep orbit runs on its own.  An orbit
+    # cut by its step budget still holds genuine points, so it is evidence.
     radius = eps_f + grid_f.cell_diameter
     mids = [grid_f.cell_center(int(union[union.size // 2])) for union in unions]
     first = reaches(sys, np.array(mids + extra).reshape(-1, grid_f.domain.ndim),
                     grid_f, orbit_max_steps)
     out = []
-    for key, union, mid in zip(keys, unions, mids):
+    for (key, members), union, mid in zip(groups.items(), unions, mids):
         cells = CellSet.from_indices(grid_f, union)
         orb = next(first)
         # a trajectory's settle carries on from its mid orbit
         end = (mid, 0) if sys.multivalued else _resume_from(orb.points, SETTLE)
-        orbits = [orb] if orb.converged else []
-        covers = bool(orbits) and cells.issubset(fatten(orb.cells, radius))
-        if not covers:
-            orb = orbit_reach(sys, grid_f.cell_center(int(union[0])), grid_f,
-                              max_steps=orbit_max_steps)
-            if orb.converged:
-                orbits.append(orb)
-                covers = cells.issubset(fatten(orb.cells, radius))
+        hull_f = fatten(orb.cells, radius)
+        covers = cells.issubset(hull_f) or cells.issubset(fatten(orbit_reach(
+            sys, grid_f.cell_center(int(union[0])), grid_f,
+            max_steps=orbit_max_steps).cells, radius))
 
-        # shrink evidence: the slice of the component beyond the sampled
-        # orbit's hull is discretization noise exactly when it dies off
-        # under refinement; a raw measure drop against the coarse ancestor
-        # counts as well
+        # shrink evidence: the slice of the component beyond the mid orbit's
+        # hull is discretization noise exactly when it dies off under
+        # refinement; a measure drop against the coarse ancestor counts too
         shrinks = False
         if levels > 1 and not covers:
             scale = factor_to_base ** sys.domain.ndim
             anc = comps_0[key]
             shrinks = union.size <= SHRINK_RATIO * len(anc) * scale
-            if not shrinks and orbits:
-                hull_f = fatten(orbits[0].cells, radius)
-                hull_0 = fatten(
-                    CellSet.from_indices(grid_0, grid_0.cells_of(orbits[0].points)),
-                    eps0 + grid_0.cell_diameter,
-                )
+            if not shrinks:
+                hull_0 = fatten(CellSet.from_indices(grid_0, grid_0.cells_of(orb.points)),
+                                eps0 + grid_0.cell_diameter)
                 exc_f = len(cells - hull_f)
                 exc_0 = len(anc - hull_0) * scale
                 shrinks = exc_0 > 0 and exc_f <= SHRINK_RATIO * exc_0
@@ -304,19 +296,16 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
             evidence_minimal=shrinks or covers,
             shrinks=shrinks,
             orbit_covers=covers,
-            fragment_count=len(groups[key]),
+            fragment_count=len(members),
         ))
 
-    # isolation flags at the finest level
-    for i, comp in enumerate(out):
-        if not comp.evidence_minimal:
-            continue
-        hull = fatten(comp.cells, eps_f)
-        touching = any(
-            j != i and bool((hull & other.cells))
-            for j, other in enumerate(out)
-        )
-        comp.isolated = "no" if touching else "yes"
+    # isolation flags at the finest level, whose recurrent cells are the
+    # union of the components: another component is near exactly when the
+    # eps_f-hull meets the recurrent cells outside this one
+    for comp in out:
+        if comp.evidence_minimal:
+            near = fatten(comp.cells, eps_f) & (recurrent - comp.cells)
+            comp.isolated = "no" if near else "yes"
 
     if any(not c.evidence_minimal for c in out):
         count = "unbounded-at-resolution"

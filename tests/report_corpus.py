@@ -138,6 +138,10 @@ CORPUS = {
     "dichotomy-drift": ("dichotomy", {
         "system": _DRIFT, "grid": {"cells_per_dim": [256]}, "eps0": 0.1,
         "levels": 2, "sample_points": [0.3, -0.6]}),
+    # census and stability orbits cut by their step budget
+    "dichotomy-square-short-budget": ("dichotomy", {
+        "system": _SQUARE, "grid": {"cells_per_dim": [512]}, "eps0": 0.01,
+        "levels": 2, "sample_points": [0.0, 1.0], "max_steps": 10}),
     "robust-robust": ("robust", {
         "system": _SQUARE, "grid": {"cells_per_dim": [256]}, "x": 0.3,
         "eps": 0.1}),

@@ -309,6 +309,10 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
               '"x": 0.3}', "controls"),
     ("reach", '{"system": {"name": "drift_control", "parameters": {"a": 0.95}}, '
               '"grid": {"cells_per_dim": [64]}, "x": 0.3}', "parameters"),
+    ("reach", '{"system": {"name": "square"}, "grid": {"cells_per_dim": [0]}, '
+              '"x": 0.3}', "cells_per_dim"),
+    ("reach", '{"system": {"name": "square"}, "grid": {"cells_per_dim": [64, 64]}, '
+              '"x": 0.3}', "cells_per_dim"),
 ], ids=["eps-infinity", "eps-nan", "eps-string", "x-string",
         "cells-string", "seed-negative", "levels-bool", "eps-duplicate",
         "policy-string", "policy-number", "policy-unknown-control",
@@ -325,7 +329,8 @@ _AFFINE = ('"system": {"name": "affine2d", "parameters": {"m": [[0.5, 0.1], '
         "parameter-unknown", "parameter-of-another-system", "parameter-missing",
         "r-list", "theta-list", "r-out-of-range", "c-out-of-range", "m-ragged",
         "m-two-entries", "bounds-ragged", "bounds-three-axes", "bounds-inverted",
-        "affine2d-not-a-self-map", "controls-nested", "drift-control-not-a-self-map"])
+        "affine2d-not-a-self-map", "controls-nested", "drift-control-not-a-self-map",
+        "cells-zero", "cells-two-axes-on-1d"])
 def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     path = tmp_path / "probe.json"
     path.write_text(text)
@@ -334,6 +339,21 @@ def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
                     "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(key) in err, err
+
+
+def test_report_without_out_goes_to_stdout_and_sidecars_to_cwd(tmp_path, monkeypatch,
+                                                              capsys):
+    path = write_cfg(tmp_path, "r.json", {"system": {"name": "square"},
+                                          "grid": {"cells_per_dim": [64]}, "x": 0.3})
+    (tmp_path / "out").mkdir()
+    assert run_cli(["reach", "--config", path, "--out", str(tmp_path / "out" / "r.json"),
+                    "--quiet"]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["reach", "--config", path, "--quiet"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "out" / "r.json").read_text()
+    assert ((tmp_path / "reach_cells.csv").read_text()
+            == (tmp_path / "out" / "reach_cells.csv").read_text() != "")
 
 
 def test_unreadable_or_non_object_config_exits_one(tmp_path, capsys):
@@ -511,6 +531,22 @@ def test_dichotomy_witnesses_instability_within_a_short_step_budget(tmp_path):
     comps = json.loads(out.read_text())["outcome"]["components"]
     assert [(c["representative"][0] > 0.5, c["stability"]) for c in comps] == [
         (False, "stable-certified"), (True, "unstable-witnessed")]
+
+
+def test_dichotomy_orbit_covers_within_a_short_step_budget(tmp_path):
+    # the component at 1 is covered by its mid orbit's first 10 steps, as it
+    # is by the whole orbit at 200,000 steps
+    cfg = {"system": {"name": "square"}, "grid": {"cells_per_dim": [512]},
+           "eps0": 0.01, "levels": 2, "sample_points": [0.0, 1.0]}
+    covers = []
+    for max_steps in (10, 200_000):
+        path = write_cfg(tmp_path, "d.json", {**cfg, "max_steps": max_steps})
+        out = tmp_path / "o.json"
+        assert run_cli(["dichotomy", "--config", path, "--out", str(out), "--quiet"]) == 0
+        comps = json.loads(out.read_text())["outcome"]["components"]
+        covers.append([(c["representative"][0] > 0.5, c["orbit_covers"]) for c in comps])
+    assert covers[0] == covers[1]
+    assert (True, True) in covers[0]
 
 
 def test_verify_initial_fattening_exit_zero(tmp_path):

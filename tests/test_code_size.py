@@ -6,7 +6,7 @@ raises ``MAX_SRC_LINES`` and says why in CHANGES.md.
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MAX_SRC_LINES = 3654
+MAX_SRC_LINES = 3640
 
 
 def test_src_lines_within_the_bound():

@@ -289,6 +289,15 @@ def test_fatten_offsets_capped_at_grid_extent():
     assert struct.shape == (15, 21) and struct.all()
 
 
+def test_fatten_offsets_corrects_a_quotient_rounded_up():
+    # eps / h rounds to 3.0 though 3h > eps: a cell 3 away does not touch
+    assert Grid(Domain.box([[0, 1]]), 6).fatten_offsets(0.49999999999999994) == 3
+
+
+def test_from_box_on_the_circle_wraps_across_zero():
+    assert CellSet.from_box(Grid(CIRCLE, 8), [0.9], [1.1]).indices().tolist() == [0, 7]
+
+
 def test_fatten_circle_wraps():
     g = Grid(CIRCLE, 100)
     s = CellSet.from_points(g, [[0.0]])

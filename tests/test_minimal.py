@@ -155,6 +155,17 @@ def test_census_drift_control_single_invariant_interval():
     assert centers.min() >= -0.3 and centers.max() <= 0.3
 
 
+def test_census_reads_orbits_cut_by_their_step_budget():
+    # the golden rotation's mid orbit needs more than 150 steps to converge,
+    # but its first 150 steps already cover the circle at this resolution
+    g = Grid(Domain.circle(), 128)
+    for max_steps in (150, 200_000):
+        census = minimal_sets(rotation(GOLDEN), 4 * g.cell_diameter, 2, g,
+                              orbit_max_steps=max_steps)
+        assert census.count == "1"
+        assert census.components[0].orbit_covers
+
+
 def test_census_component_refinement_nesting():
     base = Grid(BOX, 256)
     eps0 = 0.02
@@ -568,8 +579,8 @@ def _leaky():
 
 def _census_oracle(sys, eps0, levels, base_grid, max_steps):
     """``minimal_sets`` one component at a time: its mid orbit, then its rep
-    orbit unless the mid orbit covers it, one ``orbit_reach`` call each, an
-    orbit that did not converge skipped, and ``classify_component``."""
+    orbit unless the mid orbit covers it, one ``orbit_reach`` call each, and
+    ``classify_component``.  An orbit cut by its step budget counts."""
     groups, counts = _oracle_groups(sys, eps0, levels, base_grid)
     eps_f, grid_f = eps0 / 2 ** (levels - 1), base_grid.refine(2 ** (levels - 1))
     scale = 2 ** ((levels - 1) * sys.domain.ndim)
@@ -582,18 +593,16 @@ def _census_oracle(sys, eps0, levels, base_grid, max_steps):
     for union, n_members, anc in groups:
         cells = CellSet.from_indices(grid_f, union)
         mid = grid_f.cell_center(int(union[union.size // 2]))
-        covers, orbits = False, []
+        orbits = []
         for start in (mid, grid_f.cell_center(int(union[0]))):
-            orb = orbit_reach(sys, start, grid_f, max_steps=max_steps)
-            if orb.converged:
-                orbits.append(orb)
-                covers = cells.issubset(fatten(orb.cells, eps_f + grid_f.cell_diameter))
-                if covers:
-                    break
+            orbits.append(orbit_reach(sys, start, grid_f, max_steps=max_steps))
+            covers = cells.issubset(fatten(orbits[-1].cells, eps_f + grid_f.cell_diameter))
+            if covers:
+                break
         shrinks = False
         if levels > 1 and not covers:
             shrinks = union.size <= minimal.SHRINK_RATIO * anc.size * scale
-            if not shrinks and orbits:
+            if not shrinks:
                 pts = orbits[0].points
                 exc_f = len(cells - hull(grid_f, pts, eps_f))
                 exc_0 = len(CellSet.from_indices(base_grid, anc)

@@ -240,7 +240,7 @@ def oracle_basin(sys, a_set, levels, orbit_max_steps=100_000):
     results = []
     for k in range(levels):
         grid_k = a_set.grid.refine(2 ** k)
-        a_k = a_set.refine(2 ** k) if k else a_set.copy()
+        a_k = a_set.refine(2 ** k)
         t_mask = fatten(a_k, 4.0 * grid_k.cell_diameter).mask.reshape(-1)
         mask = np.zeros(grid_k.n_cells, dtype=bool)
         cache = {}

@@ -101,6 +101,31 @@ def test_every_fine_edge_has_a_coarse_parent_edge(case):
     assert np.isin(parents, edge_keys(build_graph(sys, coarse, eps))).all()
 
 
+@pytest.mark.parametrize("eps_cells", [4.5, 11.0])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_finest_component_lies_in_one_level_0_component(name, eps_cells):
+    """The census reads a finest component's level-0 ancestor at its first
+    cell: all of the component's coarsened cells carry that one label."""
+    factory, domain = CASES[name]
+    sys = factory()
+    grid0 = Grid(domain, 64 if domain.ndim == 1 else (8, 8))
+    levels, eps0 = (3 if domain.ndim == 1 else 2), eps_cells * grid0.cell_diameter
+    label_0 = np.full(grid0.n_cells, -1)
+    kept = None
+    for k in range(levels):
+        grid_k = grid0.refine(2 ** k)
+        comps = recurrent_cells(build_graph(sys, grid_k, eps0 / 2 ** k,
+                                            kept.refine(2) if k else None))
+        if not k:
+            for i, c in enumerate(comps):
+                label_0[c.indices()] = i
+        kept = union(comps, grid_k)
+    assert comps
+    for c in comps:
+        coarse = _coarsen_indices(c.indices(), grid_k, 2 ** (levels - 1))
+        assert np.unique(label_0[coarse]).size == 1 and label_0[coarse[0]] >= 0
+
+
 # --------------------------------------------------------------------------
 # a graph on candidates is the subgraph they induce
 # --------------------------------------------------------------------------
