@@ -14,8 +14,8 @@ searches) run as lanes of the batched orbit engine of ``orbits``.
 """
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,11 +200,12 @@ def minimal_sets(
 ) -> Census:
     """Enumerate candidate minimal sets by nested recurrence refinement.
 
-    Each level after the first builds its graph only on the refinement of
-    the cells of the level before's components: every component of the
-    finer graph lies there (see the README on subdivision).  Every
-    component's mid orbit runs as a lane of one engine call; a component
-    that its mid orbit does not cover runs its rep orbit on its own.
+    Each level builds its graph only on the refinement of the cells of the
+    level before's components, level 0 on those of the base grid coarsened
+    gcd(16, cells per axis) times: every component of the finer graph lies
+    there (see the README on subdivision).  Every component's mid orbit
+    runs as a lane of one engine call; a component that its mid orbit does
+    not cover runs its rep orbit on its own.
     """
     return _census(sys, eps0, levels, base_grid, orbit_max_steps, [])[0]
 
@@ -227,18 +228,21 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
         raise ValueError("levels must be >= 1")
     if base_grid is None:
         base_grid = grid_for(sys.domain, eps0)
-    counts: list[int] = []
-    recurrent = None
-    for k in range(levels):
-        grid_k = base_grid.refine(2 ** k)
-        cand = recurrent.refine(2) if k else None
-        comps = recurrent_cells(build_graph(sys, grid_k, eps0 / (2 ** k), cand))
+    f, recurrent, found = math.gcd(16, *base_grid.cells_per_dim), None, []
+    base_grid.check_resolution(eps0, "eps")   # refused as level 0 refuses it
+    for k in range(-1 if f > 1 else 0, levels):
+        # level -1, f times coarser, gives level 0's candidates and is not
+        # reported (see the README on subdivision)
+        grid_k, eps_k = (base_grid.refine(2 ** k), eps0 / (2 ** k)) if k >= 0 else (
+            Grid(base_grid.domain, [c // f for c in base_grid.cells_per_dim]), eps0 * f)
+        cand = None if recurrent is None else recurrent.refine(2 if k else f)
+        comps = recurrent_cells(build_graph(sys, grid_k, eps_k, cand))
         recurrent = CellSet.empty(grid_k)
         for cs in comps:
             recurrent.mask |= cs.mask
-        counts.append(len(comps))
-        if not k:
-            grid_0, comps_0 = grid_k, comps
+        if k >= 0:
+            found.append((grid_k, comps))
+    (grid_0, comps_0), counts = found[0], [len(c) for _, c in found]
     eps_f, grid_f = eps0 / (2 ** (levels - 1)), grid_k
     finest = [cs.indices() for cs in comps]
 
@@ -262,42 +266,43 @@ def _census(sys, eps0, levels, base_grid, orbit_max_steps, extra):
     mids = [grid_f.cell_center(int(union[union.size // 2])) for union in unions]
     first = reaches(sys, np.array(mids + extra).reshape(-1, grid_f.domain.ndim),
                     grid_f, orbit_max_steps)
-    out = []
-    for (key, members), union, mid in zip(groups.items(), unions, mids):
-        cells = CellSet.from_indices(grid_f, union)
-        orb = next(first)
-        # a trajectory's settle carries on from its mid orbit
-        end = (mid, 0) if sys.multivalued else _resume_from(orb.points, SETTLE)
-        hull_f = fatten(orb.cells, radius)
-        covers = cells.issubset(hull_f) or cells.issubset(fatten(orbit_reach(
-            sys, grid_f.cell_center(int(union[0])), grid_f,
-            max_steps=orbit_max_steps).cells, radius))
+    # a trajectory's settle carries on from its mid orbit; the settles run as
+    # one engine call once every component is read or one raises, then the
+    # classifications: an error in either comes before a later component's
+    out, ends = [], []
+    try:
+        for (key, members), union, mid in zip(groups.items(), unions, mids):
+            cells = CellSet.from_indices(grid_f, union)
+            orb = next(first)
+            hull_f = fatten(orb.cells, radius)
+            covers = cells.issubset(hull_f) or cells.issubset(fatten(orbit_reach(
+                sys, grid_f.cell_center(int(union[0])), grid_f,
+                max_steps=orbit_max_steps).cells, radius))
 
-        # shrink evidence: the slice of the component beyond the mid orbit's
-        # hull is discretization noise exactly when it dies off under
-        # refinement; a measure drop against the coarse ancestor counts too
-        shrinks = False
-        if levels > 1 and not covers:
-            scale = factor_to_base ** sys.domain.ndim
-            anc = comps_0[key]
-            shrinks = union.size <= SHRINK_RATIO * len(anc) * scale
-            if not shrinks:
-                hull_0 = fatten(CellSet.from_indices(grid_0, grid_0.cells_of(orb.points)),
-                                eps0 + grid_0.cell_diameter)
-                exc_f = len(cells - hull_f)
-                exc_0 = len(anc - hull_0) * scale
-                shrinks = exc_0 > 0 and exc_f <= SHRINK_RATIO * exc_0
+            # shrink evidence: the component's slice beyond the mid orbit's
+            # hull is discretization noise exactly when it dies off under
+            # refinement; a measure drop against the coarse ancestor counts too
+            shrinks = False
+            if levels > 1 and not covers:
+                scale = factor_to_base ** sys.domain.ndim
+                anc = comps_0[key]
+                shrinks = union.size <= SHRINK_RATIO * len(anc) * scale
+                if not shrinks:
+                    hull_0 = fatten(CellSet.from_indices(grid_0, grid_0.cells_of(orb.points)),
+                                    eps0 + grid_0.cell_diameter)
+                    exc_f = len(cells - hull_f)
+                    exc_0 = len(anc - hull_0) * scale
+                    shrinks = exc_0 > 0 and exc_f <= SHRINK_RATIO * exc_0
 
-        out.append(MinimalSetApprox(
-            cells=cells,
-            classification=_classify(sys, cells, advance(
-                sys, end[0][None, :], sys.controls[0], SETTLE - end[1])[0]),
-            representative=tuple(float(v) for v in mid),
-            evidence_minimal=shrinks or covers,
-            shrinks=shrinks,
-            orbit_covers=covers,
-            fragment_count=len(members),
-        ))
+            ends.append((mid, 0) if sys.multivalued else _resume_from(orb.points, SETTLE))
+            out.append(MinimalSetApprox(
+                cells, None, tuple(float(v) for v in mid), evidence_minimal=shrinks or covers,
+                shrinks=shrinks, orbit_covers=covers, fragment_count=len(members)))
+    finally:
+        settled = advance(sys, [p for p, _ in ends], sys.controls[0],
+                          SETTLE - np.array([k for _, k in ends], np.int64))
+        for comp, settle in zip(out, settled):
+            comp.classification = _classify(sys, comp.cells, settle)
 
     # isolation flags at the finest level, whose recurrent cells are the
     # union of the components: another component is near exactly when the
@@ -340,22 +345,13 @@ def lyapunov_stability(
     nested in w, so ``_first_true`` searches the schedule.
     """
     grid = a_set.grid
-    return _stability(sys, a_set, v_eps, invariance_eps, orbit_max_steps,
-                      lambda: build_graph(sys, grid, grid.resolution_floor))
-
-
-def _stability(sys, a_set, v_eps, invariance_eps, orbit_max_steps, floor_graph):
-    """``lyapunov_stability`` on the graph that ``floor_graph()`` returns, the
-    graph of the set's grid at its resolution floor; it is called once the
-    preconditions hold."""
-    grid = a_set.grid
     if not a_set:
         raise PreconditionError("empty invariant-set candidate")
     floor = grid.resolution_floor
     inv_eps = invariance_eps if invariance_eps is not None else floor
     if not is_graph_invariant(sys, a_set, inv_eps):
         raise PreconditionError("a_set is not forward-invariant at graph level")
-    g = floor_graph()
+    g = build_graph(sys, grid, floor)
     v_set = fatten(a_set, v_eps)
     w_schedule = default_delta_schedule(v_eps, floor, "v_eps")
     k = _first_true(len(w_schedule), lambda i: _reach_within(
@@ -364,25 +360,19 @@ def _stability(sys, a_set, v_eps, invariance_eps, orbit_max_steps, floor_graph):
         return StabilityResult("stable-certified", v_eps, float(w_schedule[k]))
     # graph escapes for every W; look for a true escaping orbit near A
     if _reach_within(g, a_set, v_set):
-        return StabilityResult(
-            "inconclusive", v_eps, None,
-            note="no W certified, but A itself stays in V at graph level",
-        )
+        return StabilityResult("inconclusive", v_eps, None, note="no W certified, "
+                               "but A itself stays in V at graph level")
     probe_cells = fatten(a_set, min(w_schedule)).indices()
     stride = max(1, probe_cells.size // 64)
     starts = grid.centers()[probe_cells[::stride]]
     # read in probe order, the orbits run block by block: the first witness wins
     for start, orb in zip(starts, reaches(sys, starts, grid, orbit_max_steps)):
         if not orb.cells.issubset(v_set):
-            return StabilityResult(
-                "unstable-witnessed", v_eps, None, witness_orbit=orb.points,
-                note=f"sampled orbit from {start!r} leaves V",
-            )
-    return StabilityResult(
-        "inconclusive", v_eps, None,
-        note="graph reach escapes V but every sampled orbit stays "
-             "(fattening artifact at this resolution)",
-    )
+            return StabilityResult("unstable-witnessed", v_eps, None, witness_orbit=orb.points,
+                                   note=f"sampled orbit from {start!r} leaves V")
+    return StabilityResult("inconclusive", v_eps, None,
+                           note="graph reach escapes V but every sampled orbit stays "
+                                "(fattening artifact at this resolution)")
 
 
 # --------------------------------------------------------------------------
@@ -580,18 +570,15 @@ def dichotomy_report(
         samples, bad = [], exc
     census, sample_orbits = _census(sys, eps0, levels, base_grid, orbit_max_steps, samples)
     grid_f = census.grid_finest
-    # one floor graph for every component, built for the first that needs it
-    floor_graph = functools.cache(lambda: build_graph(sys, grid_f, grid_f.resolution_floor))
     notes = []
     for comp in census.components:
         try:
-            sres = _stability(sys, comp.cells, v_eps, census.eps_finest,
-                              orbit_max_steps, floor_graph)
+            sres = lyapunov_stability(sys, comp.cells, v_eps, census.eps_finest,
+                                      orbit_max_steps)
             comp.stability = sres.flag
             comp.stability_result = sres
         except PreconditionError as exc:
             notes.append(f"stability precondition failed: {exc}")
-    floor_graph.cache_clear()
 
     if bad is not None:
         raise bad
@@ -639,9 +626,7 @@ def dichotomy_report(
     if (all_robust and census.count == "1" and not sys.multivalued
             and census.components[0].stability == "stable-certified"):
         comp = census.components[0]
-        hull = fatten(
-            comp.cells, census.eps_finest + census.grid_finest.cell_diameter
-        )
+        hull = fatten(comp.cells, census.eps_finest + grid_f.cell_diameter)
         # a trajectory keeps its steps 0, 1, ... in order, so each burn-in
         # carries on from the orbit's last kept point, the lanes together
         u = sys.controls[0]
@@ -649,7 +634,5 @@ def dichotomy_report(
                       BURN_IN - np.array([k for _, k in ends]))
         attraction = all(om.stabilized and om.cells.issubset(hull) for om in
                          _omega_tails(sys, pts, grid_f, u, BURN_IN, WINDOW, TAIL_STEPS))
-    return DichotomyReport(
-        sys.name, census, [tuple(float(v) for v in p) for p in samples],
-        certs, consistency, attraction, notes,
-    )
+    return DichotomyReport(sys.name, census, [tuple(float(v) for v in p) for p in samples],
+                           certs, consistency, attraction, notes)

@@ -32,6 +32,8 @@ MAX_EXPLICIT_EDGES = 200_000_000
 _IMAGE_CHUNK_CELLS = 1 << 13
 # beyond any column: the ends of a window row without a hit
 _FAR = 1 << 40
+# what ``_cell_images`` keeps of every cell's image: (system, grid, images)
+_kept = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +86,12 @@ def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
     closed ball of radius L * cell_radius around f(center, u) and, given
     ``eps``, every cell touching that set's closed eps-neighborhood.
 
-    ``cells`` indexes the m sources among all cells: flat indices or a slice.
-    An image is R (start, length) ranges of flat indices, as
-    ``TransitionGraph`` stores them: arrays of shape (n_controls * R, m),
-    where rows j * R to j * R + R - 1 hold control j's images.  1-D: R = 1,
-    the ranges of ``_index_ranges``.  2-D: one range per window row.
+    ``cells`` indexes the m sources among all cells: flat indices, or
+    slice(None) for every cell.  An image is R (start, length) ranges of
+    flat indices, as ``TransitionGraph`` stores them: arrays of shape
+    (n_controls * R, m), where rows j * R to j * R + R - 1 hold control j's
+    images.  1-D: R = 1, the ranges of ``_index_ranges``.  2-D: one range
+    per window row.
     The cells touching a ball form one column interval per grid row, holding
     the centre's column, and every row of the mask ``Grid.fatten_offsets(eps)``
     is an interval centred on column 0; so the dilated image is one column
@@ -98,18 +101,32 @@ def _cell_images(sys: System, grid: Grid, cells, eps: float | None = None):
     the window's rows plus the mask's nonempty rows, less one; rows outside
     the grid or without a cell are empty ranges (0, 0).  The range count is
     checked against the edge cap before the arrays are allocated.
+
+    What does not read eps, the touch ranges and in 2-D the centre images,
+    is kept for every cell of the last system and grid imaged in full, and
+    read for any sources on an equal grid: a later build there costs its
+    fattening (and in 2-D its window test).  Per image that is 16 B in 1-D,
+    as the graph's ranges, and 48 B in 2-D, where a graph at the floor or
+    above has at least 13 ranges of 8 B: never more than one graph.
     """
+    global _kept
     rho = sys.lipschitz * (grid.cell_diameter / 2.0) * _RADIUS_SAFETY
-    centers = grid.centers()[cells]
-    if grid.domain.ndim == 1:   # result first: temporaries freed above it leave no RSS
-        out = np.empty((2, len(sys.controls), len(centers)), np.int64)
-    pts = np.stack([sys.image_points(centers, u) for u in sys.controls])
-    lo, hi = zip(*(grid.axis_touch_range(pts[..., d] - rho, pts[..., d] + rho, d)
-                   for d in range(grid.domain.ndim)))
+    if _kept is not None and _kept[0] is sys and _kept[1] == grid:
+        images = [a[:, cells] for a in _kept[2]]
+    else:
+        if isinstance(cells, slice):
+            _kept = None   # the images kept before are freed first
+        centers = grid.centers()[cells]
+        pts = np.stack([sys.image_points(centers, u) for u in sys.controls])
+        lo, hi = zip(*(grid.axis_touch_range(pts[..., d] - rho, pts[..., d] + rho, d)
+                       for d in range(grid.domain.ndim)))
+        images = [*lo, *hi] if grid.domain.ndim == 1 else [pts, *lo, *hi]
+        if isinstance(cells, slice):
+            _kept = (sys, grid, images)
     if grid.domain.ndim == 1:
         k = 0 if eps is None else grid.fatten_offsets(eps)
-        out[0], out[1] = _index_ranges(grid, lo[0] - k, hi[0] + k)
-        return out[0], out[1]
+        return _index_ranges(grid, images[0] - k, images[1] + k)
+    pts, lo, hi = images[0], images[1:3], images[3:]
     struct = np.ones((1, 1), bool) if eps is None else grid.fatten_offsets(eps)
     struct = struct[struct.any(axis=1)]   # its empty outer rows reach no cell
     half, w0 = np.count_nonzero(struct, axis=1) // 2, struct.shape[0]

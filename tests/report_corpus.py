@@ -135,6 +135,13 @@ CORPUS = {
     "basin-drift": ("basin", {
         "system": _DRIFT, "grid": {"cells_per_dim": [256]}, "eps0": 0.1,
         "levels": 2, "component": 0}),
+    # censuses whose level 0 starts 16 and 4 subdivision steps coarser
+    "minimal-affine2d-48": ("minimal", {
+        "system": _AFFINE, "grid": {"cells_per_dim": [48, 48]}, "eps0": 0.12,
+        "levels": 2}),
+    "minimal-logistic-100": ("minimal", {
+        "system": {"name": "logistic", "parameters": {"r": 3.2}},
+        "grid": {"cells_per_dim": [100]}, "eps0": 0.05, "levels": 3}),
     "dichotomy-drift": ("dichotomy", {
         "system": _DRIFT, "grid": {"cells_per_dim": [256]}, "eps0": 0.1,
         "levels": 2, "sample_points": [0.3, -0.6]}),

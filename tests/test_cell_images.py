@@ -12,8 +12,10 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from chainscope.errors import SelfMapError
+from chainscope import systems
+from chainscope.errors import ResourceLimitError, SelfMapError
 from chainscope.geometry import CellSet, Domain, Grid, fatten
+from chainscope.reachability import default_delta_schedule
 from chainscope.systems import (
     _RADIUS_SAFETY,
     System,
@@ -26,7 +28,7 @@ from chainscope.systems import (
     rotation,
     square,
 )
-from chainscope.transition import build_graph, edge_control
+from chainscope.transition import build_graph, edge_control, recurrent_cells
 
 MATRICES = [
     ([[0.5, 0.1], [0.0, 0.6]], [0.2, 0.15]),
@@ -267,3 +269,95 @@ def test_affine2d_image_independent_of_batch():
     batch = sys.image_points(pts, None)
     rows = np.array([sys.image_points(p[None, :], None)[0] for p in pts])
     assert np.array_equal(batch, rows)
+
+
+# --------------------------------------------------------------------------
+# kept images: the part of a cell image that does not read eps
+# --------------------------------------------------------------------------
+
+KEPT_SYSTEMS = {
+    "square": square(),
+    "logistic": logistic(3.7),
+    "rotation": rotation(0.37),
+    "drift_control": drift_control(0.5, (-0.3, 0.0, 0.45)),
+    "affine2d": affine2d(*MATRICES[0]),
+    "two-control": two_control(),
+}
+
+
+def counted(sys):
+    """``sys`` with a tally of its map calls."""
+    calls = [0]
+
+    def f(pts, u):
+        calls[0] += 1
+        return sys.map_fn(pts, u)
+
+    return System(sys.name, sys.domain, sys.params, sys.controls, sys.lipschitz, f), calls
+
+
+def fresh_build(sys, grid, eps, cand=None):
+    """A build with no images kept."""
+    systems._kept = None
+    return build_graph(sys, grid, eps, cand)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(KEPT_SYSTEMS)), cells=st.integers(3, 40),
+       diameters=st.sampled_from([8.0, 9.5, 20.0, 70.0]),
+       density=st.sampled_from([0.0, 0.3, 0.8, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_builds_from_kept_images_equal_fresh_builds(name, cells, diameters, density, seed):
+    """Every radius of the default schedule, the floor and eps itself, on
+    every cell and on random candidates: a build that reads the images kept
+    by an all-cell build makes no map call, and its ranges equal a fresh
+    build's bit for bit."""
+    sys, calls = counted(KEPT_SYSTEMS[name])
+    grid = Grid(sys.domain, cells if sys.domain.ndim == 1 else (cells // 2 + 1, cells // 3 + 2))
+    eps = diameters * grid.cell_diameter
+    radii = [eps, *default_delta_schedule(eps, grid.resolution_floor), grid.resolution_floor]
+    cands = [None, CellSet(grid, np.random.default_rng(seed).random(grid.shape) < density)]
+    want = [fresh_build(sys, grid, r, c) for r in radii for c in cands]
+    build_graph(sys, grid, eps)
+    before = calls[0]
+    got = [build_graph(sys, grid, r, c) for r in radii for c in cands]
+    assert calls[0] == before
+    for g, w in zip(got, want):
+        assert np.array_equal(g.cells, w.cells)
+        for a, b in ((g.start, w.start), (g.length, w.length)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_SYSTEMS))
+def test_a_second_all_cell_build_makes_no_map_call(name):
+    """One grid's images are kept: another grid imaged in full replaces
+    them, and an equal grid reads them."""
+    sys, calls = counted(KEPT_SYSTEMS[name])
+    grid = Grid(sys.domain, 24 if sys.domain.ndim == 1 else (12, 10))
+    eps = 5 * grid.cell_diameter
+    fresh_build(sys, grid, eps)
+    assert calls[0] == len(sys.controls)
+    build_graph(sys, Grid(sys.domain, grid.cells_per_dim), 2 * eps)
+    assert calls[0] == len(sys.controls)
+    build_graph(sys, grid.refine(2), eps)
+    build_graph(sys, grid, eps)
+    assert calls[0] == 3 * len(sys.controls)
+
+
+@pytest.mark.parametrize("name", ["logistic", "rotation", "affine2d", "two-control"])
+def test_a_build_from_kept_images_raises_the_edge_cap(monkeypatch, name):
+    """With the edge cap lowered below a graph, a build that reads the kept
+    images raises the cap's error, message for message, as a fresh build
+    does: the 2-D build counts its ranges, the 1-D SCC pass its edges."""
+    sys = KEPT_SYSTEMS[name]
+    grid = Grid(sys.domain, 64 if sys.domain.ndim == 1 else (16, 12))
+    eps = 6 * grid.cell_diameter
+    g = fresh_build(sys, grid, eps)
+    ranges = g.start.size if sys.domain.ndim == 2 else None
+    monkeypatch.setattr(systems, "MAX_EXPLICIT_EDGES", (ranges or g.edge_count()) - 1)
+    messages = []
+    for build in (build_graph, fresh_build):
+        with pytest.raises(ResourceLimitError) as info:
+            recurrent_cells(build(sys, grid, eps))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert ("ranges" if ranges else "edges") in messages[0]

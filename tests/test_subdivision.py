@@ -101,6 +101,26 @@ def test_every_fine_edge_has_a_coarse_parent_edge(case):
     assert np.isin(parents, edge_keys(build_graph(sys, coarse, eps))).all()
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(CASES)), f=st.sampled_from([2, 4, 8, 16]),
+       cells=st.integers(1, 6), eps_cells=st.sampled_from([4.0, 4.5, 6.0, 11.0]))
+def test_every_edge_has_an_edge_between_its_f_fold_ancestors(name, f, cells, eps_cells):
+    """The premise of the census's coarse start, the parent edge chained
+    over log2 f halvings: every edge of the graph at eps0 has an edge
+    between the f-fold ancestors of its ends in the graph of the grid f
+    times coarser at eps0 * f."""
+    factory, domain = CASES[name]
+    sys = factory()
+    coarse = Grid(domain, 3 * cells if domain.ndim == 1 else (cells % 2 + 1, cells % 3 + 1))
+    fine = coarse.refine(f)
+    eps0 = eps_cells * fine.cell_diameter
+    keys = edge_keys(build_graph(sys, fine, eps0))
+    src, dst = np.divmod(keys, fine.n_cells)
+    parents = (_coarsen_indices(src, fine, f) * coarse.n_cells
+               + _coarsen_indices(dst, fine, f))
+    assert np.isin(parents, edge_keys(build_graph(sys, coarse, eps0 * f))).all()
+
+
 @pytest.mark.parametrize("eps_cells", [4.5, 11.0])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_every_finest_component_lies_in_one_level_0_component(name, eps_cells):
