@@ -87,14 +87,12 @@ class Domain:
             )
         return self.wrap(p)
 
-    def wrap(self, points: np.ndarray, out=None) -> np.ndarray:
+    def wrap(self, points: np.ndarray) -> np.ndarray:
         """Canonical form of a float array: circle coordinates into [0, 1).
-        ``% 1.0`` rounds a tiny negative coordinate up to 1.0; the second
-        ``%`` takes 1.0 to 0.0 and leaves every other result as it is.
-        Given ``out``, the result is written there."""
-        if self.kind == "circle":
-            return np.remainder(np.remainder(points, 1.0, out), 1.0, out)
-        return points if out is None else np.copyto(out, points) or out
+        ``% 1.0`` rounds a tiny negative coordinate up to 1.0, and differs
+        from this wrap only there: the second ``%`` takes 1.0 to 0.0 and
+        leaves every other result, NaN too, as it is (``orbits.trajectory``)."""
+        return np.remainder(np.remainder(points, 1.0), 1.0) if self.kind == "circle" else points
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Into the domain: wrapped on the circle, clipped on a box."""

@@ -189,27 +189,31 @@ def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def trajectory(sys, pts, n, u=None, seq=None, t=0) -> np.ndarray:
-    """(n, B, d): the images of ``pts`` (B, d) after steps t + 1 .. t + n,
-    each written in place; step s applies seq[s - 1] if given, else u."""
-    out = np.empty((n,) + pts.shape)
-    step = sys.image_points
-    for row, v in zip(out, itertools.repeat(u) if seq is None else seq[t:t + n]):
-        pts = step(pts, v, row)
+    """(n, B, d): the images of ``pts`` (B, d) after steps t + 1 .. t + n;
+    step s applies seq[s - 1] if given, else u.  Each step is the map and, on
+    the circle, one ``% 1.0``, which is ``Domain.wrap`` unless it gives 1.0."""
+    pts = first = np.asarray(pts, dtype=float)
+    out, us = np.empty((n,) + pts.shape), [u] * n if seq is None else seq[t:t + n]
+    one = np.array(1.0) if sys.domain.kind == "circle" else None   # 0-d: no float conversion
+    for row, v in zip(out, us):
+        if one is None:
+            row[...] = pts = sys.map_fn(pts, v)
+        else:
+            pts = np.remainder(sys.map_fn(pts, v), one, row)
+    if one is not None and (out == 1.0).any():   # the chunk again, as wrapped steps
+        for row, v in zip(out, us):
+            row[...] = first = sys.image_points(first, v)
     return out
 
 
 def advance(sys, pts, u, n) -> np.ndarray:
-    """``pts`` (B, d) after n steps under the control u: n is one step count
-    or one per row."""
-    pts, left = np.array(pts, dtype=float), np.broadcast_to(n, len(pts))
-    done = 0
-    # the rows with steps left go together, one phase per distinct count
-    for stop in np.unique(left[left > 0]).tolist():
-        on = left >= stop
-        sub = pts[on]
-        for _ in range(stop - done):
-            sub = sys.image_points(sub, u)
-        pts[on], done = sub, stop
+    """``pts`` (B, d) after n steps under the control u (one count, or one per
+    row), in ``trajectory`` chunks of at most _CHUNK_LANE_STEPS lane-steps."""
+    pts, left = np.array(pts, dtype=float), np.array(np.broadcast_to(n, len(pts)))
+    while (on := left > 0).any():
+        k = min(int(left[on].min()), max(1, _CHUNK_LANE_STEPS // int(on.sum())))
+        pts[on] = trajectory(sys, pts[on], k, u)[-1]
+        left[on] -= k
     return pts
 
 

@@ -60,10 +60,9 @@ class System:
             raise ControlError(f"{self.name}: control {u!r} not in control set")
         return u
 
-    def image_points(self, points: np.ndarray, u, out=None) -> np.ndarray:
-        """Vectorized raw evaluation in canonical form; no domain checks.
-        Given ``out``, the images are written there."""
-        return self.domain.wrap(self.map_fn(np.asarray(points, dtype=float), u), out)
+    def image_points(self, points: np.ndarray, u) -> np.ndarray:
+        """Vectorized raw evaluation in canonical form; no domain checks."""
+        return self.domain.wrap(self.map_fn(np.asarray(points, dtype=float), u))
 
 
 def image_cell(sys: System, cell: int, grid: Grid) -> CellSet:
@@ -191,8 +190,7 @@ def _param(key: str, convert, value):
 
 
 def rotation(theta: float) -> System:
-    """Circle rotation x -> (x + theta) mod 1; isometry, L = 1.  The map
-    returns x + theta; ``System.image_points`` wraps it onto the circle."""
+    """Circle rotation x -> x + theta, wrapped mod 1 by the domain; isometry, L = 1."""
     th = _param("theta", float, theta)
 
     def f(pts, u):

@@ -124,6 +124,10 @@ CORPUS = {
     "reach-2d": ("reach", {
         "system": _AFFINE, "grid": {"cells_per_dim": [16, 16]},
         "x": [0.9, 0.9]}),
+    # x + theta is -1e-17: one % rounds it to 1.0, the circle's wrap to 0.0
+    "reach-rotation-edge": ("reach", {
+        "system": {"name": "rotation", "parameters": {"theta": -1e-17}},
+        "grid": {"cells_per_dim": [64]}, "x": 0.0}),
     # the other commands
     "chainreach-circle": ("chainreach", {
         "system": {"name": "rotation", "parameters": {"theta": 0.3}},

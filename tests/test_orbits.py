@@ -33,6 +33,7 @@ from chainscope.reachability import (
     robustness_check,
 )
 from chainscope.systems import (
+    CATALOG,
     System,
     affine2d,
     constant,
@@ -955,3 +956,116 @@ def test_revisit_check_after_a_chunk_with_no_lane_alive():
     assert [g.tolist() for g in got] == [[orbits._NEVER] * 2, [orbits._NEVER, 2]]
     want = brute_revisits(BOX, 1e-12, start, chunks, 2)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# --------------------------------------------------------------------------
+# the step kernel against the per-step image_points loop
+# --------------------------------------------------------------------------
+
+def image_points_loop(sys, pts, us):
+    """(len(us), B, d): the rows of ``trajectory``, one ``image_points`` call
+    per step."""
+    rows = []
+    for v in us:
+        pts = sys.image_points(pts, v)
+        rows.append(pts)
+    return np.array(rows).reshape((len(rows),) + np.shape(pts))
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# x -> x - 1e-17 from 0.0 lands on -1e-17: one ``%`` rounds it up to 1.0,
+# ``Domain.wrap`` takes that to 0.0, so the orbit stays at 0.0.  The lanes
+# from 0.25 and 0.5 never come near 1.0.
+EDGE_STARTS = np.array([[0.25], [0.0], [0.5]])
+
+
+def edge_rotation():
+    return rotation(-1e-17)
+
+
+@pytest.mark.parametrize("seq", [None, [None] * 50])
+def test_trajectory_on_the_circle_edge_equals_the_image_points_loop(seq):
+    """A chunk that holds 1.0 runs again through ``image_points``: once,
+    whole, so it costs at most twice its steps, and a chunk without 1.0
+    costs its steps only."""
+    sys, calls = counting(edge_rotation())
+    want = image_points_loop(sys, EDGE_STARTS, [None] * 40)
+    assert np.remainder(-1e-17, 1.0) == 1.0
+    assert (want[:, 1] == 0.0).all() and (want[:, [0, 2]] < 1.0 - 1e-3).all()
+    calls[0] = 0
+    assert_same_bytes(orbits.trajectory(sys, EDGE_STARTS, 40, seq=seq), want)
+    assert calls[0] == 2 * 40
+    # a chunk that starts past step 0
+    calls[0] = 0
+    assert_same_bytes(orbits.trajectory(sys, want[9], 30, seq=seq, t=10), want[10:])
+    assert calls[0] == 2 * 30
+    calls[0] = 0
+    assert_same_bytes(orbits.trajectory(sys, EDGE_STARTS[[0, 2]], 40, seq=seq),
+                      want[:, [0, 2]])
+    assert calls[0] == 40
+
+
+@pytest.mark.parametrize("chunk", [orbits._CHUNK_LANE_STEPS, 7, 1])
+@pytest.mark.parametrize("n", [1, 39, [3, 39, 0], [40, 1, 12], [0, 0, 0]])
+def test_advance_on_the_circle_edge_equals_the_image_points_loop(n, chunk):
+    """``advance`` runs through ``trajectory`` in chunks of at most
+    _CHUNK_LANE_STEPS lane-steps, each row for its own step count."""
+    sys = edge_rotation()
+    rows = np.concatenate([EDGE_STARTS[None], image_points_loop(sys, EDGE_STARTS, [None] * 40)])
+    want = rows[np.broadcast_to(n, 3), np.arange(3)]
+    with mock.patch.object(orbits, "_CHUNK_LANE_STEPS", chunk):
+        assert_same_bytes(orbits.advance(sys, EDGE_STARTS, None, n), want)
+
+
+def test_the_engine_on_the_circle_edge_equals_the_oracle():
+    """The orbit from 0.0 revisits its start at step 1, or with the revisit
+    check off stalls at 0.0; the other lanes of the block run on as they
+    would alone."""
+    sys, grid = edge_rotation(), Grid(CIRCLE, 64)
+    for (seq, policy), tol in product(((None, "all"), ([None] * 500, [None] * 500)),
+                                      (1e-12, 0.0)):
+        kw = {"max_steps": 500, "tol": tol, "stall": 9}
+        for x, res in zip(EDGE_STARTS, reaches(sys, EDGE_STARTS, grid, seq=seq, **kw)):
+            assert_same(res, oracle_reach(sys, x, grid, policy=policy, **kw))
+    res = orbit_reach(sys, 0.0, grid)
+    assert (res.steps_used, res.points.tolist()) == (1, [[0.0]])
+
+
+def catalog_system(draw, name):
+    """A catalog system of the family ``name`` with drawn parameters."""
+    if name == "rotation":
+        return rotation(draw(st.sampled_from([-1e-17, -5e-324, GOLDEN]) | st.floats(-1, 1)))
+    if name == "logistic":
+        return logistic(draw(st.floats(0, 4, exclude_min=True)))
+    if name == "constant":
+        return constant(draw(st.floats(0, 1)))
+    if name == "affine2d":
+        return affine2d(*draw(st.sampled_from([
+            AFFINE, ([[0, -1], [1, 0]], [1, 0]), ([[1, 0], [0, 0.5]], [0, 0.25])])))
+    if name == "drift_control":
+        return drift_control(draw(st.floats(-0.9, 0.9)))
+    return {"square": square, "identity": identity_map}[name]()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(),
+       name=st.sampled_from(sorted(CATALOG)),
+       lanes=st.integers(1, 8), n=st.integers(1, 40), t=st.integers(0, 3))
+def test_trajectory_equals_the_image_points_loop(data, name, lanes, n, t):
+    """On every catalog system, from any starts in the domain, under the
+    system's control or a drawn control sequence."""
+    sys = catalog_system(data.draw, name)
+    lo, hi, d = sys.domain.bounds[:, 0], sys.domain.bounds[:, 1], sys.domain.ndim
+    unit = data.draw(st.lists(st.just(0.0) | st.floats(0, 1), min_size=lanes * d,
+                              max_size=lanes * d))
+    pts = sys.domain.wrap(lo + np.reshape(unit, (lanes, d)) * (hi - lo))
+    seq = (data.draw(st.lists(st.sampled_from(sys.controls), min_size=t + n, max_size=t + n))
+           if sys.multivalued else None)
+    with np.errstate(all="ignore"):
+        got = orbits.trajectory(sys, pts, n, sys.controls[0], seq, t)
+        want = image_points_loop(sys, pts, [sys.controls[0]] * n if seq is None else seq[t:])
+    assert_same_bytes(got, want)
